@@ -3,16 +3,13 @@
 from .config import (
     RngStream,
     SimConfig,
-    draw_gaussian,
     load_config,
     save_config,
 )
 from .dataset import Dataset, Stimulus, generate_dataset, read_dataset, write_dataset
 from .network import (
     ActivityRecord,
-    EventQueue,
     Network,
-    SpikeEvent,
     TrainingSummary,
     build_network,
     finish_stimulus,

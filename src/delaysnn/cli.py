@@ -65,6 +65,8 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.perf_counter()
+    if args.snapshot_every < 0:
+        raise ValueError(f"--snapshot-every must be >= 0, got {args.snapshot_every}")
     cfg = _resolve_config(args)
     ds = dataset.read_dataset(args.dataset)
     if not ds.stimuli:
@@ -121,6 +123,8 @@ def _format_report(rows) -> str:
 
 def cmd_verify(args) -> int:
     started = time.perf_counter()
+    if args.scenarios < 1:
+        raise ValueError(f"--scenarios must be >= 1, got {args.scenarios}")
     cfg = _resolve_config(args)
     rows = list(analysis.run_property_checks(cfg.rng_seed, cfg))
 

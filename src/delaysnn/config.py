@@ -14,6 +14,7 @@ bit for bit regardless of call order between consumers.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -124,6 +125,7 @@ class SimConfig:
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SimConfig)}
 _INT_FIELDS = {"grid_height", "grid_width", "rng_seed"}
 _BOOL_FIELDS = {"strict_freeze"}
+_FLOAT_FIELDS = [name for name in _FIELD_TYPES if name not in _INT_FIELDS | _BOOL_FIELDS]
 
 
 def _require(cond: bool, field: str, message: str) -> None:
@@ -133,6 +135,11 @@ def _require(cond: bool, field: str, message: str) -> None:
 
 def validate_config(cfg: SimConfig) -> None:
     """Raise :class:`ConfigValidationError` on the first violated invariant."""
+    # Imported here: dataset imports this module at load time.
+    from .dataset import FRAMES
+
+    for name in _FLOAT_FIELDS:
+        _require(math.isfinite(getattr(cfg, name)), name, "must be finite")
     _require(cfg.threshold > 0, "threshold", "must be > 0")
     _require(cfg.tau_m > 0, "tau_m", "must be > 0")
     _require(cfg.A_plus >= 0, "A_plus", "must be >= 0")
@@ -161,12 +168,15 @@ def validate_config(cfg: SimConfig) -> None:
     _require(cfg.threshold_adapt_down >= 0, "threshold_adapt_down", "must be >= 0")
     _require(cfg.threshold_min > 0, "threshold_min", "must be > 0")
     # The window must hold the slowest plausible arrival: last input spike
-    # (t = 4) plus an initial delay, taken at six spreads above the mean.
-    slowest = cfg.delay_init_mean + 6.0 * cfg.delay_init_spread + 4.0
+    # (frame FRAMES - 1, frames one time unit apart) plus an initial delay,
+    # taken at six spreads above the mean.
+    last_frame = float(FRAMES - 1)
+    slowest = cfg.delay_init_mean + 6.0 * cfg.delay_init_spread + last_frame
     _require(
         cfg.stimulus_window >= slowest,
         "stimulus_window",
-        f"must be >= delay_init_mean + 6*delay_init_spread + 4 ({slowest:g})",
+        f"must be >= delay_init_mean + 6*delay_init_spread + {last_frame:g} "
+        f"({slowest:g})",
     )
     if cfg.strict_freeze:
         _require(
@@ -252,19 +262,10 @@ class RngStream:
         self.generator = np.random.Generator(np.random.PCG64(ss))
 
 
-def draw_gaussian(stream: RngStream, mean: float, std: float) -> float:
-    """One Gaussian draw from the stream; std = 0 returns exactly the mean."""
-    if std < 0:
-        raise ValueError(f"std must be >= 0, got {std}")
-    if std == 0:
-        return float(mean)
-    return float(stream.generator.normal(mean, std))
-
-
 def draw_gaussian_array(
     stream: RngStream, mean: float, std: float, shape
 ) -> np.ndarray:
-    """Bulk counterpart of :func:`draw_gaussian`; same stream semantics."""
+    """Gaussian draws of ``shape`` from the stream; std = 0 gives exactly the mean."""
     if std < 0:
         raise ValueError(f"std must be >= 0, got {std}")
     if std == 0:

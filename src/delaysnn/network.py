@@ -3,8 +3,9 @@
 An input grid of H x W cells feeds four convolutional feature maps through
 a shared 5x5 kernel of (weight, delay) pairs per feature, stride 1. Input
 spikes are injected at their stimulus times; every synaptic arrival is an
-exact real-valued time (emission + current delay) scheduled in a
-time-ordered event queue, while membrane integration advances on a fixed
+exact real-valued time (emission + current delay). All arrivals of a
+stimulus are known before it starts, so they are sorted once into a
+time-ordered schedule, while membrane integration advances on a fixed
 grid of ``dt`` steps. A firing feature neuron laterally inhibits the other
 maps at the same output location for the rest of the stimulus.
 
@@ -14,12 +15,11 @@ All learning happens in :func:`finish_stimulus`, batched at stimulus end;
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -38,48 +38,6 @@ KERNEL_SIZE = 5
 
 # Decay of the per-feature firing-rate estimate used by homeostasis.
 RATE_EMA_DECAY = 0.9
-
-
-class SpikeEvent(NamedTuple):
-    """One scheduled arrival. Field order doubles as the queue ordering:
-    non-decreasing arrival, ties broken by target id then source id."""
-
-    arrival: float
-    target: tuple
-    source: tuple
-    emission: float
-    weight: float
-
-
-class EventQueue:
-    """Min-heap of :class:`SpikeEvent` ordered by (arrival, target, source)."""
-
-    def __init__(self, events=()):
-        self._heap = list(events)
-        for ev in self._heap:
-            self._check(ev)
-        heapq.heapify(self._heap)
-
-    @staticmethod
-    def _check(ev: SpikeEvent) -> None:
-        if ev.arrival < ev.emission:
-            raise ValueError(f"arrival {ev.arrival} precedes emission {ev.emission}")
-
-    def push(self, ev: SpikeEvent) -> None:
-        self._check(ev)
-        heapq.heappush(self._heap, ev)
-
-    def pop(self) -> SpikeEvent:
-        return heapq.heappop(self._heap)
-
-    def peek(self) -> SpikeEvent:
-        return self._heap[0]
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
 
 
 @dataclass
@@ -110,18 +68,7 @@ class TrainingSummary:
     dropped_events: int
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "epochs_run": self.epochs_run,
-                "freeze_epochs": self.freeze_epochs,
-                "weights": self.weights,
-                "delays": self.delays,
-                "stimuli_presented": self.stimuli_presented,
-                "dropped_events": self.dropped_events,
-            },
-            indent=2,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json() + "\n")
@@ -144,7 +91,6 @@ class Network:
         self.frozen: set[int] = set()
         self.rate_ema = np.zeros(FEATURE_COUNT)
         self.noise_stream = RngStream(cfg.rng_seed, STREAM_NOISE)
-        self.dropped_events = 0
         self.n_steps = int(round(cfg.stimulus_window / cfg.dt))
 
     def reset_neurons(self) -> None:
@@ -183,8 +129,14 @@ def build_network(cfg: SimConfig) -> Network:
     return Network(cfg, weights, delays)
 
 
-def _seed_events(net: Network, input_times: dict) -> tuple[EventQueue, int]:
-    """Schedule one arrival per (input firing, reachable feature neuron)."""
+def _seed_events(net: Network, input_times: dict) -> tuple[list, int]:
+    """Schedule one arrival per (input firing, reachable feature neuron).
+
+    Returns ``(arrival, target, source, weight)`` tuples sorted by arrival,
+    ties broken by target id then source id, plus the number of arrivals
+    dropped beyond the horizon. A (target, source) pair occurs at most
+    once, so the order is total and no two arrivals compare equal.
+    """
     cfg = net.cfg
     horizon = net.n_steps * cfg.dt
     delays = net.delays
@@ -204,15 +156,10 @@ def _seed_events(net: Network, input_times: dict) -> tuple[EventQueue, int]:
                         dropped += 1
                         continue
                     events.append(
-                        SpikeEvent(
-                            arrival=arrival,
-                            target=(f, iy - ky, ix - kx),
-                            source=(iy, ix),
-                            emission=t,
-                            weight=weights[f, ky, kx],
-                        )
+                        (arrival, (f, iy - ky, ix - kx), (iy, ix), weights[f, ky, kx])
                     )
-    return EventQueue(events), dropped
+    events.sort()
+    return events, dropped
 
 
 def present_stimulus(net: Network, stim) -> ActivityRecord:
@@ -220,12 +167,16 @@ def present_stimulus(net: Network, stim) -> ActivityRecord:
 
     No plasticity here. Input cells follow first-spike coding (the
     earliest spike per cell is kept). Arrivals beyond the simulated
-    horizon are dropped and counted. Noise is drawn for every neuron and
-    step up front, so the stream's consumption is independent of activity.
+    horizon are dropped and counted; a negative delay, which would make
+    an arrival precede its emission, is rejected. Noise is drawn for every
+    neuron and step up front, so the stream's consumption is independent
+    of activity.
     """
     cfg = net.cfg
     if net.fired.any() or net.inhibited.any() or net.potentials.any():
         raise ValueError("present_stimulus requires reset neurons")
+    if (net.delays < 0).any():
+        raise ValueError("delays must be >= 0: an arrival cannot precede its emission")
 
     input_times: dict = {}
     for sp in stim.spikes:
@@ -234,8 +185,7 @@ def present_stimulus(net: Network, stim) -> ActivityRecord:
         if key not in input_times or t < input_times[key]:
             input_times[key] = t
 
-    queue, dropped = _seed_events(net, input_times)
-    net.dropped_events += dropped
+    events, dropped = _seed_events(net, input_times)
     record = ActivityRecord(
         grid_height=cfg.grid_height,
         grid_width=cfg.grid_width,
@@ -265,6 +215,8 @@ def present_stimulus(net: Network, stim) -> ActivityRecord:
         others[:] = True
         others[f] = False
 
+    next_event = 0
+    n_events = len(events)
     for step in range(1, net.n_steps + 1):
         t_end = step * dt
         # Leak applies to the carried potential; fresh charge and noise
@@ -273,21 +225,21 @@ def present_stimulus(net: Network, stim) -> ActivityRecord:
         pot *= decay
         if noise is not None:
             pot += noise[step - 1]
-        # Arrivals are applied in queue order with an immediate threshold
-        # check: a firing is stamped with the exact arrival time that
-        # tipped the neuron (so the triggering synapse's lag is zero, as
-        # the delay rule's analysis assumes) and inhibition takes effect
-        # mid-step, in arrival order.
-        while queue and queue.peek().arrival <= t_end:
-            ev = queue.pop()
-            target = ev.target
-            pot[target] += ev.weight
+        # Arrivals are applied in schedule order with an immediate
+        # threshold check: a firing is stamped with the exact arrival time
+        # that tipped the neuron (so the triggering synapse's lag is zero,
+        # as the delay rule's analysis assumes) and inhibition takes
+        # effect mid-step, in arrival order.
+        while next_event < n_events and events[next_event][0] <= t_end:
+            arrival, target, _source, weight = events[next_event]
+            next_event += 1
+            pot[target] += weight
             if (
                 not fired[target]
                 and not inhibited[target]
                 and pot[target] >= thresholds[target]
             ):
-                fire(*target, ev.arrival)
+                fire(*target, arrival)
         # Crossings driven by noise alone surface at the step boundary.
         crossed = (pot >= thresholds) & ~(fired | inhibited)
         if crossed.any():
@@ -364,11 +316,13 @@ def train(
     freeze_epochs: list = [None] * FEATURE_COUNT
     epochs_run = 0
     stimuli_presented = 0
+    dropped_events = 0
     for epoch in range(1, max_epochs + 1):
         for stim in dataset.stimuli:
             record = present_stimulus(net, stim)
             report = finish_stimulus(net, record)
             stimuli_presented += 1
+            dropped_events += record.dropped_events
             for f in report.newly_frozen:
                 freeze_epochs[f] = epoch
         epochs_run = epoch
@@ -382,5 +336,5 @@ def train(
         weights=net.weights.tolist(),
         delays=net.delays.tolist(),
         stimuli_presented=stimuli_presented,
-        dropped_events=net.dropped_events,
+        dropped_events=dropped_events,
     )

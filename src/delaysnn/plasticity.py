@@ -33,10 +33,8 @@ DELAY_FLOOR = 1e-9
 
 @dataclass
 class PlasticityReport:
-    """Applied per-synapse deltas and the features frozen by this batch."""
+    """Pairs applied by one batch and the features it froze."""
 
-    weight_deltas: np.ndarray
-    delay_deltas: np.ndarray
     newly_frozen: set[int] = field(default_factory=set)
     pair_count: int = 0
 
@@ -103,17 +101,11 @@ def apply_pair_updates(record, weights, delays, frozen, cfg: SimConfig) -> Plast
     np.divide(dw_sum, counts, out=mean_dw, where=touched)
     np.divide(dd_sum, counts, out=mean_dd, where=touched)
 
-    old_w = weights.copy()
-    old_d = delays.copy()
     np.clip(weights + mean_dw, cfg.w_min, cfg.w_max, out=weights)
     unfrozen = np.array([f not in frozen for f in range(n_features)])
     delays[unfrozen] = np.maximum(delays[unfrozen] + mean_dd[unfrozen], DELAY_FLOOR)
 
-    return PlasticityReport(
-        weight_deltas=weights - old_w,
-        delay_deltas=delays - old_d,
-        pair_count=int(counts.sum()),
-    )
+    return PlasticityReport(pair_count=int(counts.sum()))
 
 
 def homeostasis_factor(r_target: float, r_observed: float) -> float:

@@ -41,6 +41,18 @@ class TestGenData:
         out = blocker / "nested" / "dots.mdots"  # parent is a file
         assert main(["gen-data", "--out", str(out)]) == 1
 
+    @pytest.mark.parametrize("line", ["tau_m = inf", "stimulus_window = inf",
+                                      "threshold = nan"])
+    def test_non_finite_config_fails(self, tmp_path, capsys, line):
+        cfg_path = tmp_path / "bad.cfg"
+        cfg_path.write_text(line + "\n")
+        out = tmp_path / "dots.mdots"
+        assert main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "must be finite" in err
+        assert not out.exists()
+        assert not (tmp_path / "dots.mdots.manifest.json").exists()
+
     def test_manifest_config_reproduces_dataset(self, tmp_path):
         first = tmp_path / "first.mdots"
         assert main(["gen-data", "--out", str(first), "--seed", "9"]) == 0
@@ -108,6 +120,18 @@ class TestTrainCommand:
         assert main(["train", "--config", str(toy_config), "--dataset", str(data),
                      "--out", str(tmp_path / "run")]) == 1
 
+    def test_negative_snapshot_every_fails(self, tmp_path, toy_config, capsys):
+        data = tmp_path / "toy.mdots"
+        main(["gen-data", "--config", str(toy_config), "--out", str(data)])
+        capsys.readouterr()
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(toy_config), "--dataset", str(data),
+                     "--out", str(out_dir), "--max-epochs", "1",
+                     "--snapshot-every", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--snapshot-every" in err
+        assert not out_dir.exists()
+
     def test_bad_max_epochs_fails(self, tmp_path, toy_config):
         data = tmp_path / "toy.mdots"
         main(["gen-data", "--config", str(toy_config), "--out", str(data)])
@@ -137,6 +161,15 @@ class TestVerifyCommand:
                          "--scenarios", "15", "--seed", "8"]) == 0
             texts.append((tmp_path / name / "report.txt").read_text())
         assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_non_positive_scenarios_fail(self, tmp_path, capsys, count):
+        out = tmp_path / "v"
+        assert main(["verify", "--out", str(out), "--scenarios", count]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--scenarios" in captured.err
+        assert not out.exists()
 
     def test_strict_freeze_rejects_default_config(self, tmp_path):
         code = main(["verify", "--out", str(tmp_path / "v"), "--strict-freeze",

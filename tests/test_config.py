@@ -1,5 +1,8 @@
 """Config parsing, validation, round-trips and the random stream contract."""
 
+import math
+
+import numpy as np
 import pytest
 
 from delaysnn.config import (
@@ -10,12 +13,12 @@ from delaysnn.config import (
     RngStream,
     SimConfig,
     config_to_text,
-    draw_gaussian,
     draw_gaussian_array,
     load_config,
     parse_config_text,
     save_config,
 )
+from delaysnn.dataset import FRAMES
 
 
 class TestParsing:
@@ -94,6 +97,22 @@ class TestValidation:
             SimConfig(stimulus_window=30.0)
         assert err.value.field == "stimulus_window"
         SimConfig(stimulus_window=30.0, delay_init_mean=20.0)
+        # Exact bound: delay_init_mean + 6 spreads + the last frame time
+        # (FRAMES - 1 frame gaps of one time unit).
+        bound = 20.0 + 6.0 * 0.5 + (FRAMES - 1)
+        SimConfig(stimulus_window=bound, delay_init_mean=20.0, delay_init_spread=0.5)
+        with pytest.raises(ConfigValidationError) as err:
+            SimConfig(stimulus_window=np.nextafter(bound, 0.0), delay_init_mean=20.0,
+                      delay_init_spread=0.5)
+        assert err.value.field == "stimulus_window"
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_floats_rejected(self, value):
+        for field in ("tau_m", "stimulus_window", "w_max", "threshold_min"):
+            with pytest.raises(ConfigValidationError) as err:
+                SimConfig(**{field: value})
+            assert err.value.field == field
+            assert "finite" in str(err.value)
 
 
 class TestRoundTrip:
@@ -111,26 +130,26 @@ class TestRoundTrip:
 class TestRngStreams:
     def test_zero_std_is_exactly_mean(self):
         stream = RngStream(0, STREAM_WEIGHTS)
-        assert draw_gaussian(stream, 0.95, 0.0) == 0.95
+        assert draw_gaussian_array(stream, 0.95, 0.0, 1)[0] == 0.95
 
     def test_negative_std_rejected(self):
         stream = RngStream(0, STREAM_WEIGHTS)
         with pytest.raises(ValueError):
-            draw_gaussian(stream, 0.0, -1.0)
+            draw_gaussian_array(stream, 0.0, -1.0, 1)
 
     def test_same_seed_same_sequence(self):
         a = RngStream(42, STREAM_WEIGHTS)
         b = RngStream(42, STREAM_WEIGHTS)
-        seq_a = [draw_gaussian(a, 0.0, 1.0) for _ in range(100)]
-        seq_b = [draw_gaussian(b, 0.0, 1.0) for _ in range(100)]
-        assert seq_a == seq_b
+        seq_a = draw_gaussian_array(a, 0.0, 1.0, 100)
+        seq_b = draw_gaussian_array(b, 0.0, 1.0, 100)
+        assert (seq_a == seq_b).all()
 
     def test_streams_are_independent(self):
         w = RngStream(42, STREAM_WEIGHTS)
         d = RngStream(42, STREAM_DELAYS)
-        seq_w = [draw_gaussian(w, 0.0, 1.0) for _ in range(10)]
-        seq_d = [draw_gaussian(d, 0.0, 1.0) for _ in range(10)]
-        assert seq_w != seq_d
+        seq_w = draw_gaussian_array(w, 0.0, 1.0, 10)
+        seq_d = draw_gaussian_array(d, 0.0, 1.0, 10)
+        assert (seq_w != seq_d).all()
 
     def test_bulk_matches_contract(self):
         stream = RngStream(7, STREAM_DELAYS)

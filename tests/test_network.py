@@ -1,4 +1,4 @@
-"""Topology, event queue ordering, stimulus simulation and the training loop."""
+"""Topology, arrival schedule ordering, stimulus simulation and the training loop."""
 
 import json
 
@@ -11,8 +11,7 @@ from delaysnn.network import (
     FEATURE_COUNT,
     KERNEL_SIZE,
     ActivityRecord,
-    EventQueue,
-    SpikeEvent,
+    _seed_events,
     build_network,
     finish_stimulus,
     present_stimulus,
@@ -29,37 +28,25 @@ def _stim(spikes, direction=45, sid=0):
 
 class TestEventQueue:
     def test_pops_in_arrival_then_target_then_source_order(self):
+        net = build_network(QUIET)
         rng = np.random.default_rng(3)
-        events = [
-            SpikeEvent(
-                arrival=float(rng.integers(0, 5)),  # coarse values force ties
-                target=(int(rng.integers(0, 2)), int(rng.integers(0, 2)), 0),
-                source=(int(rng.integers(0, 3)), int(rng.integers(0, 3))),
-                emission=0.0,
-                weight=1.0,
-            )
-            for _ in range(500)
-        ]
-        queue = EventQueue(events)
-        popped = [queue.pop() for _ in range(len(events))]
-        keys = [(ev.arrival, ev.target, ev.source) for ev in popped]
+        # Coarse delays and input times force many tied arrivals.
+        net.delays[:] = rng.integers(1, 4, size=net.delays.shape)
+        input_times = {
+            (int(y), int(x)): float(rng.integers(0, 3))
+            for y, x in rng.integers(0, QUIET.grid_height, size=(40, 2))
+        }
+        events, dropped = _seed_events(net, input_times)
+        keys = [(arrival, target, source) for arrival, target, source, _w in events]
         assert keys == sorted(keys)
+        assert len({(target, source) for _a, target, source in keys}) == len(keys)
+        assert dropped == 0
 
     def test_rejects_arrival_before_emission(self):
+        net = build_network(QUIET)
+        net.delays[2, 3, 1] = -0.5
         with pytest.raises(ValueError):
-            EventQueue([SpikeEvent(1.0, (0, 0, 0), (0, 0), 2.0, 1.0)])
-        queue = EventQueue()
-        with pytest.raises(ValueError):
-            queue.push(SpikeEvent(1.0, (0, 0, 0), (0, 0), 2.0, 1.0))
-
-    def test_push_pop_interleaved(self):
-        queue = EventQueue()
-        queue.push(SpikeEvent(5.0, (0, 0, 0), (0, 0), 0.0, 1.0))
-        queue.push(SpikeEvent(1.0, (0, 0, 0), (0, 0), 0.0, 1.0))
-        assert queue.pop().arrival == 1.0
-        queue.push(SpikeEvent(0.5, (0, 0, 0), (0, 0), 0.0, 1.0))
-        assert queue.pop().arrival == 0.5
-        assert len(queue) == 1
+            present_stimulus(net, _stim([(1, 3, 0)]))
 
 
 class TestBuildNetwork:
@@ -138,11 +125,34 @@ class TestPresentStimulus:
     def test_beyond_window_events_dropped_and_counted(self):
         net = build_network(QUIET)
         net.delays[:] = 58.0  # t=4 spike arrives at 62 > window 60
-        before = net.dropped_events
         record = present_stimulus(net, _stim([(0, 0, 4)]))
-        assert record.dropped_events > 0
-        assert net.dropped_events == before + record.dropped_events
+        assert record.dropped_events == FEATURE_COUNT  # one reachable neuron per map
         assert record.feature_firings == []
+
+    def test_tied_arrivals_applied_in_target_order(self):
+        # Every map's corner neuron gets the same supra-threshold arrival
+        # at the same time: the lowest feature index fires and inhibits
+        # the rest.
+        net = build_network(QUIET)
+        net.weights[:] = 1.0
+        net.delays[:] = 10.05
+        net.thresholds[:] = 1.0
+        record = present_stimulus(net, _stim([(0, 0, 0)]))
+        assert record.feature_firings == [(0, 0, 0, 10.05)]
+        assert net.inhibited[1:, 0, 0].all()
+
+    def test_leak_between_arrivals_prevents_crossing(self):
+        # Two arrivals of half the threshold at the corner neuron fire it
+        # when they land in one step; 20 time units apart, the first has
+        # leaked by exp(-200*dt/tau_m) and the sum stays below threshold.
+        for second_arrival, firings in ((10.05, [(0, 0, 0, 10.05)]), (30.05, [])):
+            net = build_network(QUIET)
+            net.weights[:] = 0.0
+            net.weights[0, 0, :2] = 0.5
+            net.delays[0, 0, :2] = (10.05, second_arrival)
+            net.thresholds[:] = 1.0
+            record = present_stimulus(net, _stim([(0, 0, 0), (1, 0, 0)]))
+            assert record.feature_firings == firings
 
     def test_requires_reset_neurons(self):
         net = build_network(QUIET)

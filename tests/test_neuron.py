@@ -1,120 +1,179 @@
-"""Scalar LIF dynamics: leak, firing, threshold adaptation, reset."""
+"""LIF dynamics of the network engine: leak, firing, threshold adaptation, reset.
+
+Every test runs on a 5x5 grid, which has a single output location, so
+input cell (0, kx) reaches neuron (f, 0, 0) through kernel cell (0, kx)
+only and a spike at t = 0 arrives at exactly that cell's delay.
+"""
 
 import math
 
+import numpy as np
 import pytest
 
-from delaysnn.config import SimConfig
-from delaysnn.neuron import NeuronState, adapt_threshold, check_fire, integrate_step, reset
+from delaysnn.config import STREAM_NOISE, ConfigValidationError, RngStream, SimConfig
+from delaysnn.dataset import Spike, Stimulus
+from delaysnn.network import build_network, finish_stimulus, present_stimulus
 
-CFG = SimConfig()
+ONE = SimConfig(noise_std=0.0, grid_height=5, grid_width=5)
+DECAY = math.exp(-ONE.dt / ONE.tau_m)
+N_STEPS = int(round(ONE.stimulus_window / ONE.dt))
+
+
+def _net(cfg=ONE, threshold=None):
+    """A network whose synapses carry no charge until a test wires them."""
+    net = build_network(cfg)
+    net.weights[:] = 0.0
+    if threshold is not None:
+        net.thresholds[:] = threshold
+    return net
+
+
+def _present(net, arrivals):
+    """Present one t = 0 input spike per kernel column of row 0.
+
+    ``arrivals`` maps a feature to one (weight, arrival time) pair per
+    column, wired into that feature's kernel cells (0, kx).
+    """
+    for f, pairs in arrivals.items():
+        for kx, (weight, arrival) in enumerate(pairs):
+            net.weights[f, 0, kx] = weight
+            net.delays[f, 0, kx] = arrival
+    columns = max((len(pairs) for pairs in arrivals.values()), default=0)
+    spikes = [Spike(x=kx, y=0, t=0, coherent=True) for kx in range(columns)]
+    return present_stimulus(net, Stimulus(id=0, direction=45, spikes=spikes))
+
+
+def _in_step(step):
+    """An arrival time strictly inside integration step ``step`` (1-based)."""
+    return (step - 0.5) * ONE.dt
 
 
 class TestIntegrateStep:
     def test_pure_leak_one_tau(self):
-        state = NeuronState(potential=1.0)
-        out = integrate_step(state, 0.0, dt=CFG.tau_m, tau_m=CFG.tau_m, noise=0.0)
-        assert out.potential == pytest.approx(0.36787944117144233, abs=1e-15)
+        # Charge landing tau_m before the window ends leaks to 1/e.
+        net = _net()
+        k = int(round(ONE.tau_m / ONE.dt))
+        _present(net, {0: [(1.0, _in_step(N_STEPS - k))]})
+        assert net.potentials[0, 0, 0] == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_fresh_charge_lands_undecayed(self):
-        state = NeuronState(potential=0.0)
-        out = integrate_step(state, 0.95, dt=0.1, tau_m=CFG.tau_m, noise=0.0)
-        assert out.potential == 0.95
-
-    def test_zero_dt_is_identity(self):
-        state = NeuronState(potential=0.7)
-        out = integrate_step(state, 0.0, dt=0.0, tau_m=CFG.tau_m, noise=0.0)
-        assert out.potential == 0.7
+        net = _net()
+        _present(net, {0: [(0.95, _in_step(N_STEPS))]})
+        assert net.potentials[0, 0, 0] == 0.95
 
     def test_negative_dt_rejected(self):
-        with pytest.raises(ValueError):
-            integrate_step(NeuronState(), 0.0, dt=-0.1, tau_m=20.0, noise=0.0)
+        # The engine's step comes only from the config, which rejects it.
+        with pytest.raises(ConfigValidationError):
+            ONE.replace(dt=-0.1)
 
     def test_noise_is_additive(self):
-        state = NeuronState(potential=0.0)
-        out = integrate_step(state, 0.5, dt=0.1, tau_m=20.0, noise=-0.2)
-        assert out.potential == pytest.approx(0.3)
+        # One sample per neuron and step, added after the leak.
+        cfg = ONE.replace(noise_std=0.02)
+        net = _net(cfg)
+        record = _present(net, {0: [(0.5, _in_step(N_STEPS - 3))]})
+        assert record.feature_firings == []
+        noise = RngStream(cfg.rng_seed, STREAM_NOISE).generator.normal(
+            0.0, cfg.noise_std, size=(N_STEPS,) + net.potentials.shape
+        )
+        expected = np.zeros(net.potentials.shape)
+        for step in range(1, N_STEPS + 1):
+            expected *= DECAY
+            expected += noise[step - 1]
+            if step == N_STEPS - 3:
+                expected[0, 0, 0] += 0.5
+        assert (net.potentials == expected).all()
 
     def test_k_step_leak_matches_closed_form(self):
-        # Leak check: after k silent steps the potential is p0 * exp(-k*dt/tau).
-        dt, tau = 0.1, 20.0
-        state = NeuronState(potential=2.5)
-        for k in range(1, 201):
-            state = integrate_step(state, 0.0, dt=dt, tau_m=tau, noise=0.0)
-            expected = 2.5 * math.exp(-k * dt / tau)
-            assert abs(state.potential - expected) < 1e-9
+        # After k silent steps the potential is p0 * exp(-k*dt/tau).
+        for k in (1, 7, 50, 200, 599):
+            net = _net()
+            _present(net, {0: [(1.0, _in_step(N_STEPS - k))]})
+            expected = math.exp(-k * ONE.dt / ONE.tau_m)
+            assert abs(net.potentials[0, 0, 0] - expected) < 1e-9
 
     def test_silent_decay_is_monotone_and_never_fires(self):
-        state = NeuronState(potential=4.0, threshold=4.15)
-        previous = state.potential
-        for _ in range(500):
-            state = integrate_step(state, 0.0, dt=0.1, tau_m=20.0, noise=0.0)
-            state, fired = check_fire(state, now=0.0)
-            assert not fired
-            assert state.potential <= previous
-            previous = state.potential
+        net = _net(threshold=1.0)
+        record = _present(net, {0: [(0.99, _in_step(1))]})
+        assert record.feature_firings == []
+        assert 0 < net.potentials[0, 0, 0] < 0.99 * DECAY ** (N_STEPS - 2)
 
 
 class TestCheckFire:
     def test_boundary_counts_as_fire(self):
-        state = NeuronState(potential=4.15, threshold=4.15)
-        state, fired = check_fire(state, now=3.0)
-        assert fired and state.fired_at == 3.0
+        net = _net(threshold=0.95)
+        record = _present(net, {0: [(0.95, 10.05)]})
+        assert record.feature_firings == [(0, 0, 0, 10.05)]
 
     def test_below_threshold_no_fire(self):
-        state, fired = check_fire(NeuronState(potential=4.1499, threshold=4.15), now=1.0)
-        assert not fired and state.fired_at is None
+        net = _net(threshold=0.95)
+        record = _present(net, {0: [(np.nextafter(0.95, 0.0), 10.05)]})
+        assert record.feature_firings == []
+        assert not net.fired.any()
 
     def test_one_spike_per_stimulus(self):
-        state = NeuronState(potential=10.0, threshold=4.15)
-        state, fired = check_fire(state, now=1.0)
-        assert fired
-        state, fired_again = check_fire(state, now=2.0)
-        assert not fired_again
-        assert state.fired_at == 1.0
+        net = _net(threshold=0.5)
+        record = _present(net, {0: [(1.0, 10.05), (1.0, 20.05)]})
+        assert record.feature_firings == [(0, 0, 0, 10.05)]
 
     def test_inhibited_never_fires(self):
-        state = NeuronState(potential=10.0, threshold=4.15, inhibited=True)
-        state, fired = check_fire(state, now=1.0)
-        assert not fired and state.fired_at is None
+        # Feature 1 wins the location first; feature 0's later
+        # supra-threshold arrival is ignored.
+        net = _net(threshold=0.5)
+        record = _present(net, {1: [(1.0, 10.05)], 0: [(1.0, 20.05)]})
+        assert record.feature_firings == [(1, 0, 0, 10.05)]
+        assert net.inhibited[0, 0, 0] and not net.fired[0, 0, 0]
 
     def test_simultaneous_arrivals_from_rest_fire(self):
-        # 5 arrivals of 0.95 in one step beat the default threshold.
-        state = NeuronState(potential=0.0, threshold=4.15)
-        state = integrate_step(state, 5 * 0.95, dt=0.1, tau_m=20.0, noise=0.0)
-        _, fired = check_fire(state, now=0.1)
-        assert fired
+        # 5 arrivals of 0.95 in one step beat the default threshold; the
+        # fifth one tips the neuron.
+        net = _net()
+        record = _present(net, {0: [(0.95, 10.05)] * 5})
+        assert record.feature_firings == [(0, 0, 0, 10.05)]
 
 
 class TestAdaptThreshold:
     def test_fired_moves_up(self):
-        cfg = CFG.replace(threshold_adapt_up=0.05)
-        out = adapt_threshold(NeuronState(threshold=4.15), True, cfg)
-        assert out.threshold == pytest.approx(4.20)
+        net = _net(threshold=0.5)
+        finish_stimulus(net, _present(net, {0: [(1.0, 10.05)]}))
+        assert net.thresholds[0, 0, 0] == pytest.approx(0.5 + ONE.threshold_adapt_up)
 
     def test_silent_moves_down(self):
-        cfg = CFG.replace(threshold_adapt_down=0.001)
-        out = adapt_threshold(NeuronState(threshold=4.15), False, cfg)
-        assert out.threshold == pytest.approx(4.149)
+        net = _net(ONE.replace(threshold_adapt_down=0.001))
+        finish_stimulus(net, _present(net, {}))
+        assert np.allclose(net.thresholds, ONE.threshold - 0.001)
 
     def test_floor_clamps(self):
-        cfg = CFG.replace(threshold_min=0.1, threshold_adapt_down=0.3)
-        out = adapt_threshold(NeuronState(threshold=0.1), False, cfg)
-        assert out.threshold == 0.1
+        # Repeated silent stimuli walk the threshold down to the floor,
+        # where it stays.
+        cfg = ONE.replace(threshold=1.0, threshold_min=0.1, threshold_adapt_down=0.3)
+        net = _net(cfg)
+        for _ in range(5):
+            finish_stimulus(net, _present(net, {}))
+        assert (net.thresholds == 0.1).all()
 
 
 class TestReset:
     def test_clears_per_stimulus_state(self):
-        state = NeuronState(potential=3.0, threshold=4.3, fired_at=2.0, inhibited=True)
-        out = reset(state)
-        assert out.potential == 0.0
-        assert out.fired_at is None
-        assert not out.inhibited
+        net = _net(threshold=0.5)
+        _present(net, {0: [(1.0, 10.05)], 1: [(0.3, 10.05)]})
+        assert net.fired.any() and net.inhibited.any() and net.potentials.any()
+        net.reset_neurons()
+        assert not net.fired.any()
+        assert not net.inhibited.any()
+        assert not net.potentials.any()
 
     def test_threshold_survives(self):
-        out = reset(NeuronState(threshold=4.3))
-        assert out.threshold == 4.3
+        net = _net(threshold=4.3)
+        net.reset_neurons()
+        assert (net.thresholds == 4.3).all()
 
     def test_idempotent(self):
-        state = reset(NeuronState(potential=1.0, fired_at=0.5))
-        assert reset(state) == state
+        net = _net(threshold=0.5)
+        _present(net, {0: [(1.0, 10.05)]})
+        net.reset_neurons()
+        def state():
+            return [a.copy() for a in (net.potentials, net.fired, net.inhibited)]
+
+        before = state()
+        net.reset_neurons()
+        assert all((a == b).all() for a, b in zip(before, state()))
