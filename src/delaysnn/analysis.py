@@ -372,7 +372,7 @@ def export_snapshot(net: Network, path: str | Path, fmt: str = "numeric") -> Non
     """
     if fmt == "numeric":
         Path(path).write_text(
-            json.dumps(snapshot_dict(net), indent=2, sort_keys=True) + "\n"
+            json.dumps(snapshot_dict(net), indent=2, sort_keys=True, allow_nan=False) + "\n"
         )
     elif fmt == "svg":
         Path(path).write_text(_render_svg(net))

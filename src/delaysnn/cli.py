@@ -45,7 +45,7 @@ def _write_manifest(path: Path, command: str, args, cfg: SimConfig,
     if extra:
         manifest.update(extra)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def cmd_gen_data(args) -> int:

@@ -69,9 +69,6 @@ class Stimulus:
     direction: int
     spikes: list
 
-    def coherent_spikes(self) -> list:
-        return [sp for sp in self.spikes if sp.coherent]
-
 
 @dataclass
 class Dataset:
@@ -203,7 +200,11 @@ def write_dataset(ds: Dataset, path: str | Path) -> None:
 
 
 def read_dataset(path: str | Path) -> Dataset:
-    """Parse a dataset file; an empty file is a valid empty dataset."""
+    """Parse a dataset file; an empty file is a valid empty dataset.
+
+    Spikes must lie on the declared grid and within the frame range, and
+    every stimulus direction must be one of :data:`DIRECTIONS`.
+    """
     text = Path(path).read_text()
     if not text.strip():
         return Dataset(grid_height=0, grid_width=0, stimuli=[])
@@ -223,11 +224,12 @@ def read_dataset(path: str | Path) -> Dataset:
             continue
         stim_match = _STIM_RE.match(stripped)
         if stim_match:
-            current = Stimulus(
-                id=int(stim_match.group(1)),
-                direction=int(stim_match.group(2)),
-                spikes=[],
-            )
+            direction = int(stim_match.group(2))
+            if direction not in DIRECTIONS:
+                raise DatasetFormatError(
+                    line_no, f"direction must be one of {DIRECTIONS}, got {direction}"
+                )
+            current = Stimulus(id=int(stim_match.group(1)), direction=direction, spikes=[])
             stimuli.append(current)
             continue
         if current is None:
@@ -236,11 +238,17 @@ def read_dataset(path: str | Path) -> Dataset:
         if len(parts) != 4:
             raise DatasetFormatError(line_no, f"expected 'x y t coherent', got {stripped!r}")
         try:
-            x, y, t, coh = (int(p) for p in parts)
+            x, y, t, coh = map(int, parts)
         except ValueError:
             raise DatasetFormatError(line_no, f"non-integer spike field in {stripped!r}") from None
         if coh not in (0, 1):
             raise DatasetFormatError(line_no, f"coherent flag must be 0 or 1, got {coh}")
+        if not (0 <= x < grid_w and 0 <= y < grid_h):
+            raise DatasetFormatError(
+                line_no, f"spike at x={x}, y={y} lies outside the {grid_h}x{grid_w} grid"
+            )
+        if not 0 <= t < FRAMES:
+            raise DatasetFormatError(line_no, f"spike time must be in [0, {FRAMES - 1}], got {t}")
         current.spikes.append(Spike(x=x, y=y, t=t, coherent=bool(coh)))
 
     if len(stimuli) != declared:

@@ -4,10 +4,11 @@ An input grid of H x W cells feeds four convolutional feature maps through
 a shared 5x5 kernel of (weight, delay) pairs per feature, stride 1. Input
 spikes are injected at their stimulus times; every synaptic arrival is an
 exact real-valued time (emission + current delay). All arrivals of a
-stimulus are known before it starts, so they are sorted once into a
-time-ordered schedule, while membrane integration advances on a fixed
-grid of ``dt`` steps. A firing feature neuron laterally inhibits the other
-maps at the same output location for the rest of the stimulus.
+stimulus are known before it starts, so they are built from the grid of
+first-spike times in one broadcast and sorted once into a time-ordered
+schedule, while membrane integration advances on a fixed grid of ``dt``
+steps. The first feature neuron to fire at an output location wins it:
+no feature fires there again for the rest of the stimulus.
 
 All learning happens in :func:`finish_stimulus`, batched at stimulus end;
 :func:`present_stimulus` only simulates and records.
@@ -22,6 +23,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import plasticity
 from .config import (
@@ -44,14 +46,13 @@ RATE_EMA_DECAY = 0.9
 class ActivityRecord:
     """Tagged firings of one stimulus presentation.
 
-    First-spike coding holds on both layers: ``input_times`` keeps the
-    earliest spike per input cell, ``feature_firings`` one entry per
+    First-spike coding holds on both layers: ``input_times`` is the
+    (H, W) grid of each input cell's earliest spike time (``inf`` for a
+    silent cell), ``feature_firings`` holds one ``(f, y, x, t)`` entry per
     feature neuron, in firing order.
     """
 
-    grid_height: int
-    grid_width: int
-    input_times: dict = field(default_factory=dict)
+    input_times: np.ndarray
     feature_firings: list = field(default_factory=list)
     dropped_events: int = 0
 
@@ -68,7 +69,7 @@ class TrainingSummary:
     dropped_events: int
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True, allow_nan=False)
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json() + "\n")
@@ -87,7 +88,8 @@ class Network:
         self.potentials = np.zeros(shape)
         self.thresholds = np.full(shape, cfg.threshold)
         self.fired = np.zeros(shape, dtype=bool)
-        self.inhibited = np.zeros(shape, dtype=bool)
+        # Lateral inhibition: at most one feature wins each output location.
+        self.won = np.zeros((self.out_h, self.out_w), dtype=bool)
         self.frozen: set[int] = set()
         self.rate_ema = np.zeros(FEATURE_COUNT)
         self.noise_stream = RngStream(cfg.rng_seed, STREAM_NOISE)
@@ -97,7 +99,7 @@ class Network:
         """Clear per-stimulus state; adapted thresholds persist."""
         self.potentials.fill(0.0)
         self.fired.fill(False)
-        self.inhibited.fill(False)
+        self.won.fill(False)
 
 
 def build_network(cfg: SimConfig) -> Network:
@@ -129,123 +131,104 @@ def build_network(cfg: SimConfig) -> Network:
     return Network(cfg, weights, delays)
 
 
-def _seed_events(net: Network, input_times: dict) -> tuple[list, int]:
+def _seed_events(net: Network, times: np.ndarray) -> tuple[list, list, list, int]:
     """Schedule one arrival per (input firing, reachable feature neuron).
 
-    Returns ``(arrival, target, source, weight)`` tuples sorted by arrival,
-    ties broken by target id then source id, plus the number of arrivals
-    dropped beyond the horizon. A (target, source) pair occurs at most
-    once, so the order is total and no two arrivals compare equal.
+    ``times`` is the (H, W) first-spike grid, ``inf`` for silent cells.
+    ``arrival[f, y, x, ky, kx]`` is when input (y+ky, x+kx) reaches neuron
+    (f, y, x). Returns the arrival times, flat ``(f, y, x)`` target ids and
+    weights of the kept arrivals, sorted by arrival, ties broken by target
+    id then source cell, plus the number of arrivals dropped beyond the
+    horizon. Within one target the source cell grows with (ky, kx), so
+    the flat index of ``arrival`` already runs in (target, source) order
+    and a stable sort on arrival alone gives the full order.
     """
-    cfg = net.cfg
-    horizon = net.n_steps * cfg.dt
-    delays = net.delays
-    weights = net.weights
-    events = []
-    dropped = 0
-    for (iy, ix), t in input_times.items():
-        ky_lo = max(0, iy - (net.out_h - 1))
-        ky_hi = min(KERNEL_SIZE - 1, iy)
-        kx_lo = max(0, ix - (net.out_w - 1))
-        kx_hi = min(KERNEL_SIZE - 1, ix)
-        for f in range(FEATURE_COUNT):
-            for ky in range(ky_lo, ky_hi + 1):
-                for kx in range(kx_lo, kx_hi + 1):
-                    arrival = t + delays[f, ky, kx]
-                    if arrival > horizon:
-                        dropped += 1
-                        continue
-                    events.append(
-                        (arrival, (f, iy - ky, ix - kx), (iy, ix), weights[f, ky, kx])
-                    )
-    events.sort()
-    return events, dropped
+    arrival = (
+        sliding_window_view(times, (KERNEL_SIZE, KERNEL_SIZE))[None]
+        + net.delays[:, None, None]
+    ).ravel()
+    kept = np.flatnonzero(arrival <= net.n_steps * net.cfg.dt)
+    dropped = int(np.count_nonzero(arrival < np.inf)) - kept.size
+    kept = kept[np.argsort(arrival[kept], kind="stable")]
+    target, cell = np.divmod(kept, KERNEL_SIZE * KERNEL_SIZE)
+    weight = net.weights.reshape(FEATURE_COUNT, -1)[target // (net.out_h * net.out_w), cell]
+    return arrival[kept].tolist(), target.tolist(), weight.tolist(), dropped
 
 
 def present_stimulus(net: Network, stim) -> ActivityRecord:
     """Run one stimulus through the network and record all firings.
 
     No plasticity here. Input cells follow first-spike coding (the
-    earliest spike per cell is kept). Arrivals beyond the simulated
-    horizon are dropped and counted; a negative delay, which would make
-    an arrival precede its emission, is rejected. Noise is drawn for every
-    neuron and step up front, so the stream's consumption is independent
-    of activity.
+    earliest spike per cell is kept); a spike outside the grid is
+    rejected. Arrivals beyond the simulated horizon are dropped and
+    counted; a negative delay, which would make an arrival precede its
+    emission, is rejected. Noise is drawn for every neuron and step up
+    front, so the stream's consumption is independent of activity.
     """
     cfg = net.cfg
-    if net.fired.any() or net.inhibited.any() or net.potentials.any():
+    if net.fired.any() or net.won.any() or net.potentials.any():
         raise ValueError("present_stimulus requires reset neurons")
     if (net.delays < 0).any():
         raise ValueError("delays must be >= 0: an arrival cannot precede its emission")
 
-    input_times: dict = {}
+    times = np.full((cfg.grid_height, cfg.grid_width), np.inf)
     for sp in stim.spikes:
-        key = (sp.y, sp.x)
-        t = float(sp.t)
-        if key not in input_times or t < input_times[key]:
-            input_times[key] = t
+        if not (0 <= sp.y < cfg.grid_height and 0 <= sp.x < cfg.grid_width):
+            raise ValueError(
+                f"spike at x={sp.x}, y={sp.y} lies outside the "
+                f"{cfg.grid_height}x{cfg.grid_width} grid"
+            )
+        times[sp.y, sp.x] = min(times[sp.y, sp.x], sp.t)
 
-    events, dropped = _seed_events(net, input_times)
-    record = ActivityRecord(
-        grid_height=cfg.grid_height,
-        grid_width=cfg.grid_width,
-        input_times=input_times,
-        dropped_events=dropped,
-    )
+    arrivals, targets, weights, dropped = _seed_events(net, times)
+    record = ActivityRecord(input_times=times, dropped_events=dropped)
 
-    shape = net.potentials.shape
-    if cfg.noise_std > 0:
-        noise = net.noise_stream.generator.normal(
-            0.0, cfg.noise_std, size=(net.n_steps,) + shape
-        )
-    else:
-        noise = None
+    noise = draw_gaussian_array(
+        net.noise_stream, 0.0, cfg.noise_std, (net.n_steps,) + net.potentials.shape
+    ).reshape(net.n_steps, -1)
     decay = math.exp(-cfg.dt / cfg.tau_m)
 
-    pot = net.potentials
-    fired = net.fired
-    inhibited = net.inhibited
-    thresholds = net.thresholds
+    n_loc = net.out_h * net.out_w
+    pot, thr, fired, won = (
+        a.reshape(-1) for a in (net.potentials, net.thresholds, net.fired, net.won)
+    )
     dt = cfg.dt
 
-    def fire(f: int, y: int, x: int, when: float) -> None:
-        fired[f, y, x] = True
-        record.feature_firings.append((f, y, x, when))
-        others = inhibited[:, y, x]
-        others[:] = True
-        others[f] = False
+    def fire(i: int, loc: int, when: float) -> None:
+        fired[i] = True
+        won[loc] = True
+        y, x = divmod(loc, net.out_w)
+        record.feature_firings.append((i // n_loc, y, x, when))
 
     next_event = 0
-    n_events = len(events)
+    n_events = len(arrivals)
     for step in range(1, net.n_steps + 1):
         t_end = step * dt
         # Leak applies to the carried potential; fresh charge and noise
         # land undecayed. Ineligible neurons are updated too but their
         # potential is never observed again this stimulus.
         pot *= decay
-        if noise is not None:
-            pot += noise[step - 1]
+        pot += noise[step - 1]
         # Arrivals are applied in schedule order with an immediate
         # threshold check: a firing is stamped with the exact arrival time
         # that tipped the neuron (so the triggering synapse's lag is zero,
         # as the delay rule's analysis assumes) and inhibition takes
-        # effect mid-step, in arrival order.
-        while next_event < n_events and events[next_event][0] <= t_end:
-            arrival, target, _source, weight = events[next_event]
+        # effect mid-step, in arrival order. A location's first firing
+        # blocks every feature there, the firing one included.
+        while next_event < n_events and arrivals[next_event] <= t_end:
+            i = targets[next_event]
+            pot[i] += weights[next_event]
+            loc = i % n_loc
+            if not won[loc] and pot[i] >= thr[i]:
+                fire(i, loc, arrivals[next_event])
             next_event += 1
-            pot[target] += weight
-            if (
-                not fired[target]
-                and not inhibited[target]
-                and pot[target] >= thresholds[target]
-            ):
-                fire(*target, arrival)
-        # Crossings driven by noise alone surface at the step boundary.
-        crossed = (pot >= thresholds) & ~(fired | inhibited)
-        if crossed.any():
-            for f, y, x in zip(*np.nonzero(crossed)):
-                if not fired[f, y, x] and not inhibited[f, y, x]:
-                    fire(int(f), int(y), int(x), t_end)
+        # Crossings driven by noise alone surface at the step boundary,
+        # in (f, y, x) order.
+        crossed = (net.potentials >= net.thresholds) & ~net.won
+        for i in crossed.ravel().nonzero()[0].tolist():
+            loc = i % n_loc
+            if not won[loc]:
+                fire(i, loc, t_end)
     return record
 
 

@@ -75,8 +75,9 @@ def apply_pair_updates(record, weights, delays, frozen, cfg: SimConfig) -> Plast
     one consistent snapshot.
     """
     n_features, k, _ = delays.shape
-    out_h = record.grid_height - k + 1
-    out_w = record.grid_width - k + 1
+    times = record.input_times
+    out_h = times.shape[0] - k + 1
+    out_w = times.shape[1] - k + 1
 
     dw_sum = np.zeros_like(weights)
     dd_sum = np.zeros_like(delays)
@@ -85,15 +86,14 @@ def apply_pair_updates(record, weights, delays, frozen, cfg: SimConfig) -> Plast
     for (f, y, x, t_post) in record.feature_firings:
         if not (0 <= f < n_features and 0 <= y < out_h and 0 <= x < out_w):
             raise ValueError(f"firing references unknown neuron ({f}, {y}, {x})")
-        for ky in range(k):
-            for kx in range(k):
-                t_pre = record.input_times.get((y + ky, x + kx))
-                if t_pre is None:
-                    continue
-                lag = t_post - t_pre - delays[f, ky, kx]
-                dw_sum[f, ky, kx] += stdp_delta_w(lag, cfg)
-                dd_sum[f, ky, kx] += delay_delta_d(lag, cfg)
-                counts[f, ky, kx] += 1
+        # Silent input cells (time inf) give an infinite lag and no pair.
+        # The rules stay scalar: a vectorised exp may differ in the last bit.
+        lags = t_post - times[y:y + k, x:x + k] - delays[f]
+        for ky, kx in zip(*np.nonzero(np.isfinite(lags))):
+            lag = lags[ky, kx]
+            dw_sum[f, ky, kx] += stdp_delta_w(lag, cfg)
+            dd_sum[f, ky, kx] += delay_delta_d(lag, cfg)
+            counts[f, ky, kx] += 1
 
     touched = counts > 0
     mean_dw = np.zeros_like(dw_sum)

@@ -132,6 +132,21 @@ class TestTrainCommand:
         assert err.count("\n") == 1 and "--snapshot-every" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("body, line_no", [
+        ("S 0 dir=7\n0 0 0 1", 2),
+        ("S 0 dir=45\n99 -3 3 1", 3),
+        ("S 0 dir=45\n0 0 5 1", 3),
+    ], ids=["direction", "cell", "frame"])
+    def test_out_of_range_dataset_fails(self, tmp_path, capsys, body, line_no):
+        data = tmp_path / "bad.mdots"
+        data.write_text(f"mdots v1 grid=15x15 stimuli=1\n{body}\n")
+        out_dir = tmp_path / "run"
+        assert main(["train", "--dataset", str(data), "--out", str(out_dir),
+                     "--max-epochs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"line {line_no}:" in err
+        assert not out_dir.exists()
+
     def test_bad_max_epochs_fails(self, tmp_path, toy_config):
         data = tmp_path / "toy.mdots"
         main(["gen-data", "--config", str(toy_config), "--out", str(data)])

@@ -147,3 +147,22 @@ class TestFileFormat:
         with pytest.raises(DatasetFormatError) as err:
             read_dataset(path)
         assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("line, reason", [
+        ("S 1 dir=7", "direction"),
+        ("9 0 0 1", "outside"),
+        ("0 7 0 1", "outside"),
+        ("-1 0 0 1", "outside"),
+        ("0 -3 0 1", "outside"),
+        ("0 0 5 1", "time"),
+        ("0 0 -1 1", "time"),
+    ])
+    def test_out_of_range_field_reports_line(self, tmp_path, line, reason):
+        # On a 7-high, 9-wide grid, line 4 follows a stimulus whose one
+        # spike sits at the far corner and the last frame, so only the bad
+        # field is out of range.
+        path = tmp_path / "bad"
+        path.write_text(f"mdots v1 grid=7x9 stimuli=1\nS 0 dir=45\n8 6 4 1\n{line}\n")
+        with pytest.raises(DatasetFormatError, match=reason) as err:
+            read_dataset(path)
+        assert err.value.line_no == 4

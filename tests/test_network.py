@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delaysnn.config import SimConfig
+from delaysnn.config import STREAM_NOISE, RngStream, SimConfig
 from delaysnn.dataset import Spike, Stimulus, generate_dataset
 from delaysnn.network import (
     FEATURE_COUNT,
@@ -26,20 +28,95 @@ def _stim(spikes, direction=45, sid=0):
                     spikes=[Spike(x=x, y=y, t=t, coherent=True) for (x, y, t) in spikes])
 
 
+def _grid(cfg, cells):
+    """First-spike grid of ``cfg``'s shape from a {(y, x): t} mapping."""
+    times = np.full((cfg.grid_height, cfg.grid_width), np.inf)
+    for (y, x), t in cells.items():
+        times[y, x] = t
+    return times
+
+
+def _reference_schedule(net, input_times):
+    """Per-cell nested-loop schedule, the oracle for ``_seed_events``.
+
+    ``input_times`` maps (y, x) to the cell's first-spike time. Returns
+    ``(arrival, (f, y, x), (iy, ix), weight)`` tuples in tuple order and
+    the number of arrivals past the horizon.
+    """
+    horizon = net.n_steps * net.cfg.dt
+    events = []
+    dropped = 0
+    for (iy, ix), t in input_times.items():
+        ky_lo = max(0, iy - (net.out_h - 1))
+        ky_hi = min(KERNEL_SIZE - 1, iy)
+        kx_lo = max(0, ix - (net.out_w - 1))
+        kx_hi = min(KERNEL_SIZE - 1, ix)
+        for f in range(FEATURE_COUNT):
+            for ky in range(ky_lo, ky_hi + 1):
+                for kx in range(kx_lo, kx_hi + 1):
+                    arrival = t + net.delays[f, ky, kx]
+                    if arrival > horizon:
+                        dropped += 1
+                        continue
+                    events.append(
+                        (arrival, (f, iy - ky, ix - kx), (iy, ix), net.weights[f, ky, kx])
+                    )
+    events.sort()
+    return events, dropped
+
+
+def _assert_matches_reference(net, times):
+    """``_seed_events`` on ``times`` equals the oracle exactly; returns it."""
+    arrivals, targets, weights, dropped = _seed_events(net, times)
+    cells = {(int(y), int(x)): float(times[y, x])
+             for y, x in zip(*np.nonzero(np.isfinite(times)))}
+    events, expected_dropped = _reference_schedule(net, cells)
+    assert arrivals == [arrival for arrival, _t, _s, _w in events]
+    assert targets == [int(np.ravel_multi_index(target, net.potentials.shape))
+                       for _a, target, _s, _w in events]
+    assert weights == [weight for _a, _t, _s, weight in events]
+    assert dropped == expected_dropped
+    return arrivals, targets, weights, dropped
+
+
+def _random_kernels(cfg, rng, coarse):
+    """A network of ``cfg`` with random weights and delays.
+
+    Coarse delays are integers which, with integer input times, force
+    many tied arrivals; fine ones reach past the window.
+    """
+    net = build_network(cfg)
+    if coarse:
+        net.delays[:] = rng.integers(1, 4, size=net.delays.shape)
+    else:
+        net.delays[:] = rng.uniform(0.05, cfg.stimulus_window, size=net.delays.shape)
+    net.weights[:] = rng.uniform(cfg.w_min, cfg.w_max, size=net.weights.shape)
+    return net
+
+
+def _random_spikes(cfg, rng, n_spikes):
+    """(x, y, t) spikes at random cells and frames; cells may repeat."""
+    return [(int(rng.integers(0, cfg.grid_width)), int(rng.integers(0, cfg.grid_height)),
+             int(rng.integers(0, 5))) for _ in range(n_spikes)]
+
+
+def _first_spikes(cfg, spikes):
+    """The first-spike grid that ``present_stimulus`` must build from ``spikes``."""
+    cells = {}
+    for x, y, t in spikes:
+        cells[(y, x)] = min(cells.get((y, x), np.inf), float(t))
+    return _grid(cfg, cells)
+
+
 class TestEventQueue:
     def test_pops_in_arrival_then_target_then_source_order(self):
-        net = build_network(QUIET)
         rng = np.random.default_rng(3)
-        # Coarse delays and input times force many tied arrivals.
-        net.delays[:] = rng.integers(1, 4, size=net.delays.shape)
-        input_times = {
-            (int(y), int(x)): float(rng.integers(0, 3))
-            for y, x in rng.integers(0, QUIET.grid_height, size=(40, 2))
-        }
-        events, dropped = _seed_events(net, input_times)
-        keys = [(arrival, target, source) for arrival, target, source, _w in events]
+        net = _random_kernels(QUIET, rng, coarse=True)
+        times = _first_spikes(QUIET, _random_spikes(QUIET, rng, 40))
+        arrivals, targets, _weights, dropped = _assert_matches_reference(net, times)
+        keys = list(zip(arrivals, targets))
         assert keys == sorted(keys)
-        assert len({(target, source) for _a, target, source in keys}) == len(keys)
+        assert len(arrivals) > len(set(arrivals))  # ties were exercised
         assert dropped == 0
 
     def test_rejects_arrival_before_emission(self):
@@ -47,6 +124,28 @@ class TestEventQueue:
         net.delays[2, 3, 1] = -0.5
         with pytest.raises(ValueError):
             present_stimulus(net, _stim([(1, 3, 0)]))
+
+    def test_matches_reference_with_arrivals_past_window(self):
+        rng = np.random.default_rng(4)
+        net = _random_kernels(QUIET, rng, coarse=False)
+        times = _first_spikes(QUIET, _random_spikes(QUIET, rng, 60))
+        # An arrival exactly at the horizon is kept.
+        horizon = net.n_steps * QUIET.dt
+        times[0, 0] = 0.0
+        net.delays[0, 0, 0] = horizon
+        arrivals, _targets, _weights, dropped = _assert_matches_reference(net, times)
+        assert dropped > 0
+        assert arrivals[-1] == horizon
+
+    @pytest.mark.parametrize("height, width", [(7, 9), (9, 7), (5, 5)])
+    def test_matches_reference_on_non_square_and_minimal_grids(self, height, width):
+        cfg = QUIET.replace(grid_height=height, grid_width=width)
+        for seed, coarse in ((5, True), (6, False)):
+            rng = np.random.default_rng(seed)
+            net = _random_kernels(cfg, rng, coarse)
+            times = _first_spikes(cfg, _random_spikes(cfg, rng, 30))
+            arrivals, *_ = _assert_matches_reference(net, times)
+            assert arrivals
 
 
 class TestBuildNetwork:
@@ -86,7 +185,8 @@ class TestPresentStimulus:
         net = build_network(QUIET)
         record = present_stimulus(net, _stim([]))
         assert record.feature_firings == []
-        assert record.input_times == {}
+        assert record.input_times.shape == (QUIET.grid_height, QUIET.grid_width)
+        assert np.isinf(record.input_times).all()
         assert not net.fired.any()
 
     def test_full_window_fires_after_arrival(self):
@@ -114,13 +214,19 @@ class TestPresentStimulus:
         at_corner = [(f, t) for (f, y, x, t) in record.feature_firings if (y, x) == (0, 0)]
         assert len(at_corner) == 1
         assert at_corner[0][0] == 1
-        assert net.inhibited[0, 0, 0] and net.inhibited[2, 0, 0] and net.inhibited[3, 0, 0]
-        assert not net.inhibited[1, 0, 0]
+        assert net.won[0, 0]
+        assert net.fired[:, 0, 0].tolist() == [False, True, False, False]
 
     def test_input_first_spike_coding(self):
         net = build_network(QUIET)
         record = present_stimulus(net, _stim([(2, 3, 4), (2, 3, 1), (2, 3, 2)]))
-        assert record.input_times == {(3, 2): 1.0}
+        assert np.array_equal(record.input_times, _grid(QUIET, {(3, 2): 1.0}))
+
+    def test_out_of_grid_spike_rejected(self):
+        net = build_network(QUIET)
+        for spike in ((QUIET.grid_width, 0, 0), (0, -1, 0), (-1, 3, 2)):
+            with pytest.raises(ValueError, match="outside"):
+                present_stimulus(net, _stim([(1, 1, 0), spike]))
 
     def test_beyond_window_events_dropped_and_counted(self):
         net = build_network(QUIET)
@@ -139,7 +245,8 @@ class TestPresentStimulus:
         net.thresholds[:] = 1.0
         record = present_stimulus(net, _stim([(0, 0, 0)]))
         assert record.feature_firings == [(0, 0, 0, 10.05)]
-        assert net.inhibited[1:, 0, 0].all()
+        assert net.won[0, 0]
+        assert net.fired[:, 0, 0].tolist() == [True, False, False, False]
 
     def test_leak_between_arrivals_prevents_crossing(self):
         # Two arrivals of half the threshold at the corner neuron fire it
@@ -192,6 +299,21 @@ class TestPresentStimulus:
             assert len(locations) == len(set(locations))
             finish_stimulus(net, record)
 
+    def test_simultaneous_noise_crossings_one_winner_per_location(self):
+        # Near-zero thresholds: noise alone carries several features of a
+        # location across in the same step, and the lowest index wins.
+        tiny = 1e-9
+        net = build_network(SimConfig())
+        net.thresholds[:] = tiny
+        record = present_stimulus(net, _stim([]))
+        locations = [(y, x) for (_f, y, x, _t) in record.feature_firings]
+        assert len(locations) == len(set(locations)) == net.out_h * net.out_w
+        first_step = RngStream(net.cfg.rng_seed, STREAM_NOISE).generator.normal(
+            0.0, net.cfg.noise_std, size=net.potentials.shape)
+        for f, y, x, t in record.feature_firings:
+            if t == net.cfg.dt:
+                assert f == int(np.argmax(first_step[:, y, x] >= tiny))
+
 
 class TestFinishStimulus:
     def test_silent_stimulus_runs_homeostasis_growth_adaptation(self):
@@ -208,7 +330,7 @@ class TestFinishStimulus:
         assert np.allclose(net.delays, d0 - cfg.lambda_d + growth)
         assert np.allclose(net.weights, np.clip(w0 + cfg.lambda_w, 0, 1))
         assert np.allclose(net.thresholds, t0 - cfg.threshold_adapt_down)
-        assert not net.fired.any() and not net.inhibited.any()
+        assert not net.fired.any() and not net.won.any()
         assert (net.potentials == 0).all()
 
     def test_freeze_detected_and_permanent(self):
@@ -311,3 +433,61 @@ class TestDeterminism:
             finish_stimulus(net, present_stimulus(net, stim))
         assert net.weights.shape == (FEATURE_COUNT, KERNEL_SIZE, KERNEL_SIZE)
         assert net.delays.shape == (FEATURE_COUNT, KERNEL_SIZE, KERNEL_SIZE)
+
+
+@st.composite
+def _presentations(draw):
+    """A random grid, kernel set, threshold map and stimulus, presented once.
+
+    A short window keeps each example fast; noise on some examples makes
+    crossings at step boundaries, several per location and step when the
+    thresholds are tiny.
+    """
+    cfg = SimConfig(grid_height=draw(st.integers(5, 9)), grid_width=draw(st.integers(5, 9)),
+                    noise_std=draw(st.sampled_from([0.0, 0.05])), delay_init_mean=10.0,
+                    stimulus_window=15.0, rng_seed=draw(st.integers(0, 999)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    net = _random_kernels(cfg, rng, coarse=draw(st.booleans()))
+    scale = draw(st.sampled_from([1e-3, 0.1, 1.0]))
+    net.thresholds[:] = scale * rng.uniform(0.5, 3.0, size=net.thresholds.shape)
+    spikes = _random_spikes(cfg, rng, draw(st.integers(0, 40)))
+    return net, spikes, present_stimulus(net, _stim(spikes))
+
+
+PROPERTY = settings(max_examples=100, deadline=None)
+
+
+class TestProperties:
+    @PROPERTY
+    @given(_presentations())
+    def test_one_spike_per_neuron(self, case):
+        net, _spikes, record = case
+        neurons = [(f, y, x) for (f, y, x, _t) in record.feature_firings]
+        assert len(neurons) == len(set(neurons))
+        assert set(neurons) == {tuple(int(v) for v in idx) for idx in zip(*np.nonzero(net.fired))}
+
+    @PROPERTY
+    @given(_presentations())
+    def test_one_winner_per_location(self, case):
+        net, _spikes, record = case
+        locations = [(y, x) for (_f, y, x, _t) in record.feature_firings]
+        assert len(locations) == len(set(locations))
+        assert set(locations) == {(int(y), int(x)) for y, x in zip(*np.nonzero(net.won))}
+
+    @PROPERTY
+    @given(_presentations())
+    def test_firing_time_is_an_arrival_or_a_step_boundary(self, case):
+        net, _spikes, record = case
+        arrivals, targets, _weights, _dropped = _seed_events(net, record.input_times)
+        boundaries = {step * net.cfg.dt for step in range(1, net.n_steps + 1)}
+        for f, y, x, t in record.feature_firings:
+            flat = int(np.ravel_multi_index((f, y, x), net.potentials.shape))
+            reaching = {a for a, target in zip(arrivals, targets) if target == flat}
+            assert t in reaching or t in boundaries
+
+    @PROPERTY
+    @given(_presentations())
+    def test_schedule_matches_reference(self, case):
+        net, spikes, record = case
+        assert np.array_equal(record.input_times, _first_spikes(net.cfg, spikes))
+        _assert_matches_reference(net, record.input_times)

@@ -121,7 +121,7 @@ class TestCheckFire:
         net = _net(threshold=0.5)
         record = _present(net, {1: [(1.0, 10.05)], 0: [(1.0, 20.05)]})
         assert record.feature_firings == [(1, 0, 0, 10.05)]
-        assert net.inhibited[0, 0, 0] and not net.fired[0, 0, 0]
+        assert net.won[0, 0] and not net.fired[0, 0, 0]
 
     def test_simultaneous_arrivals_from_rest_fire(self):
         # 5 arrivals of 0.95 in one step beat the default threshold; the
@@ -156,10 +156,10 @@ class TestReset:
     def test_clears_per_stimulus_state(self):
         net = _net(threshold=0.5)
         _present(net, {0: [(1.0, 10.05)], 1: [(0.3, 10.05)]})
-        assert net.fired.any() and net.inhibited.any() and net.potentials.any()
+        assert net.fired.any() and net.won.any() and net.potentials.any()
         net.reset_neurons()
         assert not net.fired.any()
-        assert not net.inhibited.any()
+        assert not net.won.any()
         assert not net.potentials.any()
 
     def test_threshold_survives(self):
@@ -172,7 +172,7 @@ class TestReset:
         _present(net, {0: [(1.0, 10.05)]})
         net.reset_neurons()
         def state():
-            return [a.copy() for a in (net.potentials, net.fired, net.inhibited)]
+            return [a.copy() for a in (net.potentials, net.fired, net.won)]
 
         before = state()
         net.reset_neurons()

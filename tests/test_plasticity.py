@@ -70,12 +70,11 @@ class TestDelayDeltaD:
 
 
 def _record(grid=15, input_times=None, firings=None):
-    return ActivityRecord(
-        grid_height=grid,
-        grid_width=grid,
-        input_times=input_times or {},
-        feature_firings=firings or [],
-    )
+    """A record on a square grid; ``input_times`` maps (y, x) to a time."""
+    times = np.full((grid, grid), np.inf)
+    for (y, x), t in (input_times or {}).items():
+        times[y, x] = t
+    return ActivityRecord(input_times=times, feature_firings=firings or [])
 
 
 def _kernels(n_features=4, k=5, weight=0.5, delay=10.0):
@@ -100,6 +99,15 @@ class TestApplyPairUpdates:
         assert delays[0, 0, 0] == pytest.approx(45.0, abs=1e-12)
         assert weights[0, 0, 0] == CFG.w_max  # +A_plus clamped
         assert (delays[0].ravel()[1:] == 50.0).all()
+
+    def test_window_read_at_firing_location(self):
+        # Neuron (0, y=1, x=6) sees input (3, 9) through kernel cell (2, 3).
+        weights, delays = _kernels(delay=50.0)
+        record = _record(input_times={(3, 9): 0.0}, firings=[(0, 1, 6, 50.0)])
+        report = apply_pair_updates(record, weights, delays, set(), CFG)
+        assert report.pair_count == 1
+        assert delays[0, 2, 3] == pytest.approx(45.0, abs=1e-12)
+        assert (np.delete(delays[0].ravel(), 2 * 5 + 3) == 50.0).all()
 
     def test_shared_cell_takes_mean_of_location_deltas(self):
         # Two firings of one feature, far apart, drive the same kernel cell
