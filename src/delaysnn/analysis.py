@@ -7,10 +7,12 @@ fixed repeating pattern, is a fixed-point iteration on each synapse's lag
 
 which for 0 < B_minus <= sigma_minus keeps every lag in [0, lag] and
 drives it to 0: the neuron ends up receiving all contributing spikes
-simultaneously. :func:`run_convergence_suite` simulates that single-neuron
-setting directly in arrival space (independent of the scalar recurrence)
-and checks the predicted properties; :func:`lag_fixed_point_step` is the
-recurrence itself, used as the prediction oracle.
+simultaneously. :func:`run_convergence_suite` repeats that single-neuron
+setting in arrival space, moving every arrival by the network's own rule
+:func:`plasticity.delay_delta_d`, and checks the predicted properties on
+the recorded trajectory; :func:`lag_fixed_point_step` is the recurrence
+itself, written independently of the rule and used as the prediction
+oracle.
 
 Also here: direction-selectivity measurement over a dataset and feature
 snapshot export (numeric JSON and an SVG where larger circles mean lower
@@ -76,20 +78,14 @@ class ConvergenceScenario:
     The neuron fires the instant its last contributing arrival lands
     (idealized firing, no membrane integration). ``post_time`` optionally
     caps the first firing so that later arrivals start out non-contributing
-    (negative lag); by default every arrival contributes. ``growth`` is
-    added to all unfrozen delays once per repetition.
+    (negative lag); by default every arrival contributes. ``rule`` supplies
+    the delay rule's B_minus, B_plus, sigma_minus and sigma_plus.
     """
 
     pre_times: list
     initial_delays: list
-    b_minus: float = 0.5
-    b_plus: float = 0.5
-    sigma_minus: float = 2.0
-    sigma_plus: float = 2.0
+    rule: SimConfig
     repetitions: int = 200
-    growth: float = 0.0
-    freeze_disabled: bool = True
-    freeze_c: float = 0.001
     post_time: float | None = None
 
     def __post_init__(self):
@@ -104,7 +100,7 @@ class ConvergenceScenario:
 
     @property
     def premise_met(self) -> bool:
-        return 0 < self.b_minus <= self.sigma_minus
+        return self.rule.B_minus <= self.rule.sigma_minus
 
 
 @dataclass
@@ -124,7 +120,6 @@ class ConvergenceReport:
     final_lags: dict
     firing_times: list
     convergence_rep: dict
-    freeze_rep: int | None
     checks: dict = field(default_factory=dict)
 
     def all_passed(self) -> bool:
@@ -142,12 +137,13 @@ def _fp_slack(scenario: ConvergenceScenario) -> float:
 
 
 def run_convergence_suite(scenario: ConvergenceScenario) -> ConvergenceReport:
-    """Simulate the repeated pattern and check the predicted properties.
+    """Repeat the pattern under :func:`plasticity.delay_delta_d` and check
+    the predicted properties on the recorded trajectory.
 
-    Checked, per repetition while unfrozen:
+    Checked over every repetition:
       a. contributing lags never leave [0, inf)
       b. the initially-last arrival keeps lag exactly 0
-      c. the firing time shifts by growth - B_minus each repetition
+      c. the firing time shifts by -B_minus each repetition
       d. contributing lags are non-increasing and converge below tolerance
       e. non-contributing lags fall by exactly
          -B_minus - B_plus * exp(lag / sigma_plus), i.e. strictly decrease
@@ -156,121 +152,70 @@ def run_convergence_suite(scenario: ConvergenceScenario) -> ConvergenceReport:
     dynamics still run but every check is flagged as skipped.
     """
     sc = scenario
+    rule = sc.rule
     slack = _fp_slack(sc)
-    n = len(sc.pre_times)
-    times = [float(t) for t in sc.pre_times]
-    delays = [float(d) for d in sc.initial_delays]
-    arrivals = [t + d for t, d in zip(times, delays)]
+    arrivals = [float(t) + float(d) for t, d in zip(sc.pre_times, sc.initial_delays)]
 
     first_post = max(arrivals) if sc.post_time is None else float(sc.post_time)
-    contributing = [i for i in range(n) if arrivals[i] <= first_post]
-    noncontributing = [i for i in range(n) if arrivals[i] > first_post]
+    contributing = [i for i, a in enumerate(arrivals) if a <= first_post]
+    noncontributing = [i for i, a in enumerate(arrivals) if a > first_post]
     if not contributing:
         raise ValueError("post_time excludes every arrival; nothing drives the neuron")
-    post = max(arrivals[i] for i in contributing)
     last = max(contributing, key=lambda i: arrivals[i])
 
-    initial_lags = {i: post - arrivals[i] for i in range(n)}
-    convergence_rep = {
-        i: (0 if initial_lags[i] < CONVERGENCE_TOL else None) for i in contributing
-    }
+    post = arrivals[last]
+    rows = [arrivals]
     firing_times = [post]
-    freeze_rep = None
-    frozen = False
-
-    worst = {
-        "nonneg": 0.0,       # how far a contributing lag dipped below 0
-        "last": 0.0,         # |lag| of the initially-last arrival
-        "shift": 0.0,        # |observed - expected| firing shift
-        "monotone": 0.0,     # largest contributing lag increase
-        "late_formula": 0.0, # |observed - expected| non-contributing step
-        "late_increase": -math.inf,  # largest non-contributing lag step (< 0 required)
-    }
-
-    for rep in range(1, sc.repetitions + 1):
-        if not frozen and not sc.freeze_disabled and min(delays) < sc.freeze_c:
-            frozen = True
-            freeze_rep = rep
-        if frozen:
-            firing_times.append(post)
-            continue
-
-        lags = [post - a for a in arrivals]
-        deltas = []
-        for i in range(n):
-            if lags[i] >= 0:
-                deltas.append(-sc.b_minus * math.exp(-lags[i] / sc.sigma_minus))
-            else:
-                deltas.append(sc.b_plus * math.exp(lags[i] / sc.sigma_plus))
-        for i in range(n):
-            delays[i] += deltas[i] + sc.growth
-            arrivals[i] += deltas[i] + sc.growth
-
-        new_post = max(arrivals[i] for i in contributing)
-        observed_shift = new_post - post
-        expected_shift = sc.growth - sc.b_minus
-        worst["shift"] = max(worst["shift"], abs(observed_shift - expected_shift))
-
-        for i in contributing:
-            new_lag = new_post - arrivals[i]
-            worst["nonneg"] = max(worst["nonneg"], -new_lag)
-            worst["monotone"] = max(worst["monotone"], new_lag - lags[i])
-            if convergence_rep[i] is None and new_lag < CONVERGENCE_TOL:
-                convergence_rep[i] = rep
-        worst["last"] = max(worst["last"], abs(new_post - arrivals[last]))
-
-        for i in noncontributing:
-            new_lag = new_post - arrivals[i]
-            observed = new_lag - lags[i]
-            expected = -sc.b_minus - sc.b_plus * math.exp(lags[i] / sc.sigma_plus)
-            worst["late_formula"] = max(worst["late_formula"], abs(observed - expected))
-            worst["late_increase"] = max(worst["late_increase"], observed)
-
-        post = new_post
+    for _ in range(sc.repetitions):
+        arrivals = [a + plasticity.delay_delta_d(post - a, rule) for a in arrivals]
+        post = max(arrivals[i] for i in contributing)
+        rows.append(arrivals)
         firing_times.append(post)
 
-    final_lags = {i: post - arrivals[i] for i in range(n)}
+    # lags[k, i]: firing time minus arrival i after k repetitions.
+    lags = np.array(firing_times)[:, None] - np.array(rows)
+    initial_lags = dict(enumerate(lags[0].tolist()))
+    final_lags = dict(enumerate(lags[-1].tolist()))
+    early = lags[:, contributing]
+    below = early < CONVERGENCE_TOL
+    convergence_rep = {
+        i: int(below[:, j].argmax()) if below[:, j].any() else None
+        for j, i in enumerate(contributing)
+    }
+    dip = max(0.0, float(-early[1:].min()))
+    rise = max(0.0, float(np.diff(early, axis=0).max()))
+    last_err = float(np.abs(lags[1:, last]).max())
+    shift_err = float(np.abs(np.diff(firing_times) + rule.B_minus).max())
+    max_final = float(early[-1].max())
+    # Only a failure if the recurrence oracle says the run was long
+    # enough for every contributing lag to reach tolerance.
+    converged_ok = sc.premise_met and (
+        None not in convergence_rep.values()
+        or sc.repetitions < max(
+            iterations_to_tolerance(initial_lags[i], rule.B_minus, rule.sigma_minus)
+            for i in contributing
+        )
+    )
 
     def verdict(ok: bool, detail: str) -> CheckResult:
         if not sc.premise_met:
             return CheckResult(SKIP, "premise 0 < B- <= sigma- unmet")
         return CheckResult(PASS if ok else FAIL, detail)
 
-    converged_ok = False
-    if sc.premise_met:
-        # Only a failure if the recurrence oracle says the run was long
-        # enough for every contributing lag to reach tolerance.
-        reps_needed = max(
-            iterations_to_tolerance(initial_lags[i], sc.b_minus, sc.sigma_minus)
-            for i in contributing
-        )
-        converged_ok = (
-            all(r is not None for r in convergence_rep.values())
-            or sc.repetitions < reps_needed
-        )
-
-    max_final = max((final_lags[i] for i in contributing), default=0.0)
     checks = {
-        "contributing_lags_stay_nonnegative": verdict(
-            worst["nonneg"] <= slack, f"max dip {worst['nonneg']:.3e}"
-        ),
-        "last_arrival_stays_last": verdict(
-            worst["last"] <= slack, f"max |lag| {worst['last']:.3e}"
-        ),
-        "firing_time_shift": verdict(
-            worst["shift"] <= SHIFT_TOL, f"max err {worst['shift']:.3e}"
-        ),
-        "lags_nonincreasing": verdict(
-            worst["monotone"] <= slack, f"max rise {worst['monotone']:.3e}"
-        ),
-        "lags_converge": verdict(
-            converged_ok, f"max final lag {max_final:.3e}"
-        ),
+        "contributing_lags_stay_nonnegative": verdict(dip <= slack, f"max dip {dip:.3e}"),
+        "last_arrival_stays_last": verdict(last_err <= slack, f"max |lag| {last_err:.3e}"),
+        "firing_time_shift": verdict(shift_err <= SHIFT_TOL, f"max err {shift_err:.3e}"),
+        "lags_nonincreasing": verdict(rise <= slack, f"max rise {rise:.3e}"),
+        "lags_converge": verdict(converged_ok, f"max final lag {max_final:.3e}"),
     }
     if noncontributing:
+        late = lags[:, noncontributing]
+        steps = np.diff(late, axis=0)
+        predicted = -rule.B_minus - rule.B_plus * np.exp(late[:-1] / rule.sigma_plus)
+        late_err = float(np.abs(steps - predicted).max())
         checks["late_arrivals_pushed_later"] = verdict(
-            worst["late_formula"] <= SHIFT_TOL and worst["late_increase"] < 0,
-            f"max err {worst['late_formula']:.3e}",
+            late_err <= SHIFT_TOL and float(steps.max()) < 0, f"max err {late_err:.3e}"
         )
 
     return ConvergenceReport(
@@ -281,7 +226,6 @@ def run_convergence_suite(scenario: ConvergenceScenario) -> ConvergenceReport:
         final_lags=final_lags,
         firing_times=firing_times,
         convergence_rep=convergence_rep,
-        freeze_rep=freeze_rep,
         checks=checks,
     )
 
@@ -304,13 +248,16 @@ def random_scenario(rng: np.random.Generator, repetitions: int = 500,
         post_time = max(t + d for t, d in zip(pre_times, initial_delays))
         pre_times.append(float(rng.uniform(0.0, 5.0)))
         initial_delays.append(post_time - pre_times[-1] + float(rng.uniform(0.5, 5.0)))
+    rule = SimConfig(
+        B_minus=b_minus,
+        B_plus=float(rng.uniform(0.05, 2.0)),
+        sigma_minus=sigma_minus,
+        sigma_plus=float(rng.uniform(0.5, 5.0)),
+    )
     return ConvergenceScenario(
         pre_times=pre_times,
         initial_delays=initial_delays,
-        b_minus=b_minus,
-        b_plus=float(rng.uniform(0.05, 2.0)),
-        sigma_minus=sigma_minus,
-        sigma_plus=float(rng.uniform(0.5, 5.0)),
+        rule=rule,
         repetitions=repetitions,
         post_time=post_time,
     )

@@ -36,7 +36,7 @@ def _write_manifest(path: Path, command: str, args, cfg: SimConfig,
                     artifacts: dict, started: float, extra: dict | None = None) -> None:
     manifest = {
         "command": command,
-        "argv": sys.argv[1:],
+        "argv": args.argv,
         "seed": cfg.rng_seed,
         "config": cfg.as_dict(),
         "artifacts": {name: str(p) for name, p in artifacts.items()},
@@ -67,6 +67,8 @@ def cmd_train(args) -> int:
     started = time.perf_counter()
     if args.snapshot_every < 0:
         raise ValueError(f"--snapshot-every must be >= 0, got {args.snapshot_every}")
+    if args.max_epochs < 1:
+        raise ValueError(f"--max-epochs must be >= 1, got {args.max_epochs}")
     cfg = _resolve_config(args)
     ds = dataset.read_dataset(args.dataset)
     if not ds.stimuli:
@@ -145,10 +147,7 @@ def cmd_verify(args) -> int:
     config_scenario = analysis.ConvergenceScenario(
         pre_times=[0.0, 1.0, 3.0],
         initial_delays=[10.0, 10.0, 10.0],
-        b_minus=cfg.B_minus,
-        b_plus=cfg.B_plus,
-        sigma_minus=cfg.sigma_minus,
-        sigma_plus=cfg.sigma_plus,
+        rule=cfg,
         repetitions=200,
     )
     config_report = analysis.run_convergence_suite(config_scenario)
@@ -213,7 +212,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(argv)
+    args.argv = argv
     try:
         return args.func(args)
     except (ConfigError, dataset.DatasetFormatError, ValueError, OSError) as exc:

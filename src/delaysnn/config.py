@@ -20,8 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-_U64 = (1 << 64) - 1
-
 # Stream ids, one per randomness consumer.
 STREAM_WEIGHTS = 0
 STREAM_DELAYS = 1
@@ -167,6 +165,7 @@ def validate_config(cfg: SimConfig) -> None:
     _require(cfg.threshold_adapt_up >= 0, "threshold_adapt_up", "must be >= 0")
     _require(cfg.threshold_adapt_down >= 0, "threshold_adapt_down", "must be >= 0")
     _require(cfg.threshold_min > 0, "threshold_min", "must be > 0")
+    _require(cfg.rng_seed >= 0, "rng_seed", "must be >= 0")
     # The window must hold the slowest plausible arrival: last input spike
     # (frame FRAMES - 1, frames one time unit apart) plus an initial delay,
     # taken at six spreads above the mean.
@@ -218,6 +217,8 @@ def parse_config_text(text: str) -> SimConfig:
             raise ConfigParseError(line_no, f"unknown key {key!r}")
         if not raw:
             raise ConfigParseError(line_no, f"missing value for {key!r}")
+        if key in overrides:
+            raise ConfigParseError(line_no, f"duplicate key {key!r}")
         overrides[key] = _parse_value(key, raw, line_no)
     return SimConfig(**overrides)
 
@@ -257,7 +258,7 @@ class RngStream:
 
     def __post_init__(self):
         ss = np.random.SeedSequence(
-            entropy=self.seed & _U64, spawn_key=(self.stream_id,)
+            entropy=self.seed, spawn_key=(self.stream_id,)
         )
         self.generator = np.random.Generator(np.random.PCG64(ss))
 

@@ -47,7 +47,7 @@ def contributing_reports():
         arrivals = [t + d for t, d in zip(sc.pre_times, sc.initial_delays)]
         post = max(arrivals)
         needed = max(
-            iterations_to_tolerance(post - a, sc.b_minus, sc.sigma_minus)
+            iterations_to_tolerance(post - a, sc.rule.B_minus, sc.rule.sigma_minus)
             for a in arrivals
         )
         sc.repetitions = max(500, needed + 2)
@@ -90,7 +90,7 @@ class TestCriterion2:
         worst = 0.0
         for sc, report in contributing_reports:
             shifts = np.diff(report.firing_times)
-            worst = max(worst, float(np.max(np.abs(shifts + sc.b_minus))))
+            worst = max(worst, float(np.max(np.abs(shifts + sc.rule.B_minus))))
         ok = worst <= 1e-9
         _line("criterion 2: firing time shift is exactly -B_minus", ok,
               f"max error {worst:.2e}")
@@ -119,7 +119,7 @@ class TestCriterion4:
         for sc, report in contributing_reports:
             for i in report.contributing:
                 predicted = iterations_to_tolerance(
-                    report.initial_lags[i], sc.b_minus, sc.sigma_minus
+                    report.initial_lags[i], sc.rule.B_minus, sc.rule.sigma_minus
                 )
                 observed = report.convergence_rep[i]
                 assert observed is not None, (sc, i)

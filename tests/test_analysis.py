@@ -21,6 +21,8 @@ from delaysnn.analysis import (
     run_convergence_suite,
     run_property_checks,
 )
+from delaysnn import plasticity
+from delaysnn.cli import main
 from delaysnn.config import SimConfig
 from delaysnn.dataset import Dataset, Spike, Stimulus
 from delaysnn.network import build_network
@@ -66,10 +68,68 @@ class TestLagFixedPointStep:
         assert iterations_to_tolerance(1e-4, 0.5, 2.0) == 0
 
 
+# The rule parameters the scenarios below were written against.
+RULE = SimConfig(B_minus=0.5, B_plus=0.5, sigma_minus=2.0, sigma_plus=2.0)
+
+
+def _reference_suite(sc):
+    """Independent scalar rerun of a scenario: the suite's trajectory and
+    check statuses from running per-repetition maxima, with the delay rule
+    written out inline instead of called."""
+    b_minus, b_plus = sc.rule.B_minus, sc.rule.B_plus
+    s_minus, s_plus = sc.rule.sigma_minus, sc.rule.sigma_plus
+    slack = 64.0 * np.finfo(float).eps * max(
+        1.0, *map(abs, sc.pre_times), *map(abs, sc.initial_delays))
+    arrivals = [float(t) + float(d) for t, d in zip(sc.pre_times, sc.initial_delays)]
+    first_post = max(arrivals) if sc.post_time is None else sc.post_time
+    contributing = [i for i, a in enumerate(arrivals) if a <= first_post]
+    late = [i for i, a in enumerate(arrivals) if a > first_post]
+    post = max(arrivals[i] for i in contributing)
+    last = max(contributing, key=lambda i: arrivals[i])
+    initial_lags = {i: post - a for i, a in enumerate(arrivals)}
+    rep_of = {i: (0 if initial_lags[i] < 1e-3 else None) for i in contributing}
+    firing_times = [post]
+    dip = last_err = shift = rise = late_err = 0.0
+    late_step = -math.inf
+    for rep in range(1, sc.repetitions + 1):
+        lags = [post - a for a in arrivals]
+        arrivals = [a - b_minus * math.exp(-lag / s_minus) if lag >= 0
+                    else a + b_plus * math.exp(lag / s_plus)
+                    for a, lag in zip(arrivals, lags)]
+        new_post = max(arrivals[i] for i in contributing)
+        shift = max(shift, abs(new_post - post + b_minus))
+        for i in contributing:
+            new_lag = new_post - arrivals[i]
+            dip, rise = max(dip, -new_lag), max(rise, new_lag - lags[i])
+            if rep_of[i] is None and new_lag < 1e-3:
+                rep_of[i] = rep
+        last_err = max(last_err, abs(new_post - arrivals[last]))
+        for i in late:
+            step = new_post - arrivals[i] - lags[i]
+            late_err = max(late_err, abs(step + b_minus + b_plus * math.exp(lags[i] / s_plus)))
+            late_step = max(late_step, step)
+        post = new_post
+        firing_times.append(post)
+    final_lags = {i: post - a for i, a in enumerate(arrivals)}
+    needed = max(iterations_to_tolerance(initial_lags[i], b_minus, s_minus)
+                 for i in contributing)
+    oks = {
+        "contributing_lags_stay_nonnegative": dip <= slack,
+        "last_arrival_stays_last": last_err <= slack,
+        "firing_time_shift": shift <= 1e-9,
+        "lags_nonincreasing": rise <= slack,
+        "lags_converge": None not in rep_of.values() or sc.repetitions < needed,
+    }
+    if late:
+        oks["late_arrivals_pushed_later"] = late_err <= 1e-9 and late_step < 0
+    statuses = {name: PASS if ok else FAIL for name, ok in oks.items()}
+    return firing_times, initial_lags, final_lags, rep_of, statuses
+
+
 class TestConvergenceSuite:
     def test_single_neuron_is_its_own_last(self):
         sc = ConvergenceScenario(pre_times=[1.0], initial_delays=[7.0],
-                                 b_minus=0.5, sigma_minus=2.0, repetitions=50)
+                                 rule=RULE, repetitions=50)
         report = run_convergence_suite(sc)
         assert report.firing_times[0] == 8.0
         shifts = np.diff(report.firing_times)
@@ -80,7 +140,7 @@ class TestConvergenceSuite:
     def test_three_neurons_converge(self):
         sc = ConvergenceScenario(pre_times=[0.0, 1.0, 3.0],
                                  initial_delays=[10.0, 10.0, 10.0],
-                                 b_minus=0.5, sigma_minus=2.0, repetitions=200)
+                                 rule=RULE, repetitions=200)
         report = run_convergence_suite(sc)
         assert all(r.status == PASS for r in report.checks.values())
         assert max(abs(report.final_lags[i]) for i in report.contributing) < 1e-3
@@ -89,7 +149,7 @@ class TestConvergenceSuite:
     def test_observed_convergence_matches_oracle(self):
         sc = ConvergenceScenario(pre_times=[0.0, 1.0, 3.0],
                                  initial_delays=[10.0, 10.0, 10.0],
-                                 b_minus=0.5, sigma_minus=2.0, repetitions=200)
+                                 rule=RULE, repetitions=200)
         report = run_convergence_suite(sc)
         for i in report.contributing:
             predicted = iterations_to_tolerance(report.initial_lags[i], 0.5, 2.0)
@@ -99,9 +159,7 @@ class TestConvergenceSuite:
         # One arrival past the firing time: after one repetition its lag
         # moves by exactly -B_minus - B_plus * exp(lag / sigma_plus).
         sc = ConvergenceScenario(pre_times=[0.0, 2.0], initial_delays=[5.0, 10.0],
-                                 b_minus=0.5, b_plus=0.5,
-                                 sigma_minus=2.0, sigma_plus=2.0,
-                                 repetitions=1, post_time=5.0)
+                                 rule=RULE, repetitions=1, post_time=5.0)
         report = run_convergence_suite(sc)
         assert report.noncontributing == [1]
         lag0 = -7.0
@@ -111,38 +169,22 @@ class TestConvergenceSuite:
 
     def test_premise_unmet_is_skipped_not_failed(self):
         sc = ConvergenceScenario(pre_times=[0.0, 1.0], initial_delays=[10.0, 10.0],
-                                 b_minus=5.0, sigma_minus=0.001, repetitions=20)
+                                 rule=RULE.replace(B_minus=5.0, sigma_minus=0.001),
+                                 repetitions=20)
         report = run_convergence_suite(sc)
         assert not report.premise_met
         assert all(r.status == SKIP for r in report.checks.values())
 
-    def test_growth_cancels_in_lags(self):
-        base = dict(pre_times=[0.0, 1.0, 3.0], initial_delays=[10.0, 10.0, 10.0],
-                    b_minus=0.5, sigma_minus=2.0, repetitions=200)
-        plain = run_convergence_suite(ConvergenceScenario(**base))
-        grown = run_convergence_suite(ConvergenceScenario(**base, growth=0.1))
-        for i in plain.contributing:
-            assert plain.final_lags[i] == pytest.approx(grown.final_lags[i], abs=1e-9)
-        shifts = np.diff(grown.firing_times)
-        assert np.allclose(shifts, 0.1 - 0.5, atol=1e-9)
-
-    def test_freeze_halts_the_suite(self):
-        sc = ConvergenceScenario(pre_times=[0.0], initial_delays=[5.2],
-                                 b_minus=0.5, sigma_minus=2.0, repetitions=30,
-                                 freeze_disabled=False, freeze_c=5.0)
-        report = run_convergence_suite(sc)
-        assert report.freeze_rep is not None
-        assert report.firing_times[-1] == report.firing_times[report.freeze_rep]
-
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
-            ConvergenceScenario(pre_times=[], initial_delays=[])
+            ConvergenceScenario(pre_times=[], initial_delays=[], rule=RULE)
         with pytest.raises(ValueError):
-            ConvergenceScenario(pre_times=[0.0], initial_delays=[0.0])
+            ConvergenceScenario(pre_times=[0.0], initial_delays=[0.0], rule=RULE)
         with pytest.raises(ValueError):
-            ConvergenceScenario(pre_times=[0.0], initial_delays=[1.0], repetitions=0)
+            ConvergenceScenario(pre_times=[0.0], initial_delays=[1.0], rule=RULE,
+                                repetitions=0)
         with pytest.raises(ValueError):
-            ConvergenceScenario(pre_times=[0.0, 1.0], initial_delays=[1.0])
+            ConvergenceScenario(pre_times=[0.0, 1.0], initial_delays=[1.0], rule=RULE)
 
     def test_random_scenarios_all_pass(self):
         rng = np.random.default_rng(11)
@@ -152,6 +194,33 @@ class TestConvergenceSuite:
             assert report.premise_met
             failed = [n for n, r in report.checks.items() if r.status == FAIL]
             assert not failed, failed
+
+    @pytest.mark.parametrize("with_late", [False, True])
+    def test_matches_scalar_reference(self, with_late):
+        rng = np.random.default_rng(31 + with_late)
+        for _ in range(200):
+            sc = random_scenario(rng, repetitions=int(rng.integers(1, 300)),
+                                 with_late=with_late)
+            report = run_convergence_suite(sc)
+            firing_times, initial_lags, final_lags, rep_of, statuses = _reference_suite(sc)
+            assert report.firing_times == firing_times
+            assert report.initial_lags == initial_lags
+            assert report.final_lags == final_lags
+            assert report.convergence_rep == rep_of
+            assert {n: r.status for n, r in report.checks.items()} == statuses
+
+    def test_mis_scaled_rule_fails_verify(self, tmp_path, monkeypatch, capsys):
+        # The suite must run the shipped rule: a 1% error in its causal
+        # branch breaks the exact -B_minus firing shift.
+        rule = plasticity.delay_delta_d
+
+        def scaled(delta_t, cfg):
+            delta = rule(delta_t, cfg)
+            return 1.01 * delta if delta_t >= 0 else delta
+
+        monkeypatch.setattr(plasticity, "delay_delta_d", scaled)
+        assert main(["verify", "--scenarios", "10", "--out", str(tmp_path / "v")]) == 1
+        assert "FAIL" in capsys.readouterr().out
 
 
 class TestPropertyChecks:

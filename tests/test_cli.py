@@ -53,6 +53,30 @@ class TestGenData:
         assert not out.exists()
         assert not (tmp_path / "dots.mdots.manifest.json").exists()
 
+    def test_manifest_records_parsed_argv(self, tmp_path):
+        out = tmp_path / "dots.mdots"
+        argv = ["gen-data", "--out", str(out), "--seed", "7"]
+        assert main(argv) == 0
+        manifest = json.loads((tmp_path / "dots.mdots.manifest.json").read_text())
+        assert manifest["argv"] == argv
+
+    @pytest.mark.parametrize("seed", ["-1", "-18446744073709551615"])
+    def test_negative_seed_fails(self, tmp_path, capsys, seed):
+        out = tmp_path / "dots.mdots"
+        assert main(["gen-data", "--out", str(out), "--seed", seed]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "rng_seed: must be >= 0" in err
+        assert not out.exists()
+
+    def test_duplicate_config_key_fails(self, tmp_path, capsys):
+        cfg_path = tmp_path / "dup.cfg"
+        cfg_path.write_text("threshold = 1\nthreshold = 4\n")
+        out = tmp_path / "dots.mdots"
+        assert main(["gen-data", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "line 2: duplicate key 'threshold'" in err
+        assert not out.exists()
+
     def test_manifest_config_reproduces_dataset(self, tmp_path):
         first = tmp_path / "first.mdots"
         assert main(["gen-data", "--out", str(first), "--seed", "9"]) == 0
@@ -147,11 +171,16 @@ class TestTrainCommand:
         assert err.count("\n") == 1 and f"line {line_no}:" in err
         assert not out_dir.exists()
 
-    def test_bad_max_epochs_fails(self, tmp_path, toy_config):
+    def test_bad_max_epochs_fails(self, tmp_path, toy_config, capsys):
         data = tmp_path / "toy.mdots"
         main(["gen-data", "--config", str(toy_config), "--out", str(data)])
+        capsys.readouterr()
+        out_dir = tmp_path / "run"
         assert main(["train", "--config", str(toy_config), "--dataset", str(data),
-                     "--out", str(tmp_path / "run"), "--max-epochs", "0"]) == 1
+                     "--out", str(out_dir), "--max-epochs", "0"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--max-epochs" in err
+        assert not out_dir.exists()
 
 
 class TestVerifyCommand:
@@ -184,6 +213,14 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and "--scenarios" in captured.err
+        assert not out.exists()
+
+    def test_negative_seed_fails(self, tmp_path, capsys):
+        out = tmp_path / "v"
+        assert main(["verify", "--out", str(out), "--scenarios", "1", "--seed", "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "rng_seed" in captured.err
         assert not out.exists()
 
     def test_strict_freeze_rejects_default_config(self, tmp_path):

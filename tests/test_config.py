@@ -63,6 +63,12 @@ class TestParsing:
             parse_config_text("tau_m = fast\n")
         assert err.value.line_no == 1
 
+    def test_duplicate_key_reports_line(self):
+        with pytest.raises(ConfigParseError) as err:
+            parse_config_text("threshold = 1\n# again\nthreshold = 4\n")
+        assert err.value.line_no == 3
+        assert "duplicate key 'threshold'" in str(err.value)
+
     def test_bool_field(self):
         assert parse_config_text("strict_freeze = false\n").strict_freeze is False
         cfg = parse_config_text("strict_freeze = true\nfreeze_c = 6.0\n")
@@ -105,6 +111,12 @@ class TestValidation:
             SimConfig(stimulus_window=np.nextafter(bound, 0.0), delay_init_mean=20.0,
                       delay_init_spread=0.5)
         assert err.value.field == "stimulus_window"
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigValidationError) as err:
+            SimConfig(rng_seed=-1)
+        assert err.value.field == "rng_seed"
+        assert SimConfig(rng_seed=2**64 - 1).rng_seed == 2**64 - 1
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     def test_non_finite_floats_rejected(self, value):
@@ -150,6 +162,18 @@ class TestRngStreams:
         seq_w = draw_gaussian_array(w, 0.0, 1.0, 10)
         seq_d = draw_gaussian_array(d, 0.0, 1.0, 10)
         assert (seq_w != seq_d).all()
+
+    def test_seeds_do_not_alias(self):
+        def draws(seed):
+            return RngStream(seed, STREAM_WEIGHTS).generator.random(8).tolist()
+
+        # Seeds below 2**64 seed the stream with their own value ...
+        for seed in (0, 2**64 - 1):
+            ss = np.random.SeedSequence(entropy=seed, spawn_key=(STREAM_WEIGHTS,))
+            assert draws(seed) == np.random.Generator(np.random.PCG64(ss)).random(8).tolist()
+        # ... and wider ones are not folded back onto them.
+        assert draws(2**64) != draws(0)
+        assert draws(2**64 + 5) != draws(5)
 
     def test_bulk_matches_contract(self):
         stream = RngStream(7, STREAM_DELAYS)
