@@ -1,0 +1,127 @@
+"""Per-stimulus and per-epoch timings of the training loop.
+
+For each config (default and dense) and each seed, the script generates
+that seed's dataset, builds the network and trains a fixed number of
+epochs, timing every ``present_stimulus`` and ``finish_stimulus`` call
+and every epoch with ``time.perf_counter``. It writes the medians and
+quartiles, with the python and numpy versions, the CPUs the process may
+use and a hash of each config, to ``BENCH_<label>.json``.
+
+Run from the repository root:
+
+    PYTHONPATH=src python3 benchmarks/bench.py --label trajectory
+
+To measure another checkout with the same script, put its ``src`` on
+``PYTHONPATH`` instead. The script uses only the public training API, so
+the same file times older and newer engines alike.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import sys
+from pathlib import Path
+from time import perf_counter
+
+import numpy as np
+
+from delaysnn.config import SimConfig, config_to_text
+from delaysnn.dataset import generate_dataset
+from delaysnn.network import build_network, finish_stimulus, present_stimulus
+
+# Config overrides. ``dense`` is premise-valid (B- <= sigma-) and fires
+# about 100 feature neurons per stimulus, so the plasticity batch weighs
+# in; at ``default`` firing is sparse and the engine does the work.
+CONFIGS = {
+    "default": {},
+    "dense": {
+        "threshold": 1.0,
+        "r_target": 25.0,
+        "B_minus": 0.05,
+        "B_plus": 0.05,
+        "sigma_minus": 0.5,
+        "sigma_plus": 0.5,
+    },
+}
+SEEDS = range(10)
+# As many epochs as perfbench's train-default trains.
+EPOCHS = 2
+
+
+def _quartiles(values: list) -> dict:
+    q1, median, q3 = np.percentile(values, [25, 50, 75]).tolist()
+    return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def _cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def measure(overrides: dict) -> dict:
+    """Times of every presentation, batch and epoch over ``SEEDS``."""
+    present_ms, finish_ms, epoch_s = [], [], []
+    for seed in SEEDS:
+        cfg = SimConfig(rng_seed=seed, **overrides)
+        ds = generate_dataset(cfg, seed)
+        net = build_network(cfg)
+        for _ in range(EPOCHS):
+            epoch_start = perf_counter()
+            for stim in ds.stimuli:
+                t0 = perf_counter()
+                record = present_stimulus(net, stim)
+                t1 = perf_counter()
+                finish_stimulus(net, record)
+                t2 = perf_counter()
+                present_ms.append((t1 - t0) * 1e3)
+                finish_ms.append((t2 - t1) * 1e3)
+            epoch_s.append(perf_counter() - epoch_start)
+    # The seed only picks the streams; the hash names the model config.
+    text = config_to_text(SimConfig(rng_seed=0, **overrides))
+    return {
+        "config_hash": hashlib.sha256(text.encode()).hexdigest()[:16],
+        "overrides": overrides,
+        "present_ms": _quartiles(present_ms),
+        "finish_ms": _quartiles(finish_ms),
+        "epoch_s": _quartiles(epoch_s),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
+    parser.add_argument("--out-dir", default=".", help="where to write the file")
+    args = parser.parse_args(argv)
+
+    result = {
+        "label": args.label,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "cpu": _cpu_model(),
+        "nproc": len(os.sched_getaffinity(0)),
+        "seeds": list(SEEDS),
+        "epochs_per_seed": EPOCHS,
+        "configs": {},
+    }
+    for name, overrides in CONFIGS.items():
+        result["configs"][name] = stats = measure(overrides)
+        print(f"{name}: epoch {stats['epoch_s']['median']:.3f} s, "
+              f"present {stats['present_ms']['median']:.2f} ms, "
+              f"finish {stats['finish_ms']['median']:.2f} ms (medians)", file=sys.stderr)
+    path = Path(args.out_dir) / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(result, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

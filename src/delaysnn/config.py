@@ -159,8 +159,12 @@ def validate_config(cfg: SimConfig) -> None:
     _require(cfg.noise_std >= 0, "noise_std", "must be >= 0")
     _require(cfg.dt > 0, "dt", "must be > 0")
     _require(cfg.stimulus_window > 0, "stimulus_window", "must be > 0")
+    _require(cfg.dt <= cfg.stimulus_window, "dt", "must be <= stimulus_window")
     _require(cfg.grid_height >= 1, "grid_height", "must be >= 1")
     _require(cfg.grid_width >= 1, "grid_width", "must be >= 1")
+    # Synapses are excitatory: the engine relies on charge only raising a
+    # potential within a step.
+    _require(cfg.w_min >= 0, "w_min", "must be >= 0")
     _require(cfg.w_min < cfg.w_max, "w_min", "must be < w_max")
     _require(cfg.threshold_adapt_up >= 0, "threshold_adapt_up", "must be >= 0")
     _require(cfg.threshold_adapt_down >= 0, "threshold_adapt_down", "must be >= 0")

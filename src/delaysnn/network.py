@@ -8,7 +8,9 @@ stimulus are known before it starts, so they are built from the grid of
 first-spike times in one broadcast and sorted once into a time-ordered
 schedule, while membrane integration advances on a fixed grid of ``dt``
 steps. The first feature neuron to fire at an output location wins it:
-no feature fires there again for the rest of the stimulus.
+no feature fires there again for the rest of the stimulus. Firing does
+not feed back into potentials, so a stimulus's whole potential
+trajectory is integrated first and its firings read off it per location.
 
 All learning happens in :func:`finish_stimulus`, batched at stimulus end;
 :func:`present_stimulus` only simulates and records.
@@ -131,17 +133,19 @@ def build_network(cfg: SimConfig) -> Network:
     return Network(cfg, weights, delays)
 
 
-def _seed_events(net: Network, times: np.ndarray) -> tuple[list, list, list, int]:
+def _seed_events(
+    net: Network, times: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Schedule one arrival per (input firing, reachable feature neuron).
 
     ``times`` is the (H, W) first-spike grid, ``inf`` for silent cells.
     ``arrival[f, y, x, ky, kx]`` is when input (y+ky, x+kx) reaches neuron
     (f, y, x). Returns the arrival times, flat ``(f, y, x)`` target ids and
-    weights of the kept arrivals, sorted by arrival, ties broken by target
-    id then source cell, plus the number of arrivals dropped beyond the
-    horizon. Within one target the source cell grows with (ky, kx), so
-    the flat index of ``arrival`` already runs in (target, source) order
-    and a stable sort on arrival alone gives the full order.
+    weights of the kept arrivals as arrays, sorted by arrival, ties broken
+    by target id then source cell, plus the number of arrivals dropped
+    beyond the horizon. Within one target the source cell grows with
+    (ky, kx), so the flat index of ``arrival`` already runs in (target,
+    source) order and a stable sort on arrival alone gives the full order.
     """
     arrival = (
         sliding_window_view(times, (KERNEL_SIZE, KERNEL_SIZE))[None]
@@ -152,7 +156,7 @@ def _seed_events(net: Network, times: np.ndarray) -> tuple[list, list, list, int
     kept = kept[np.argsort(arrival[kept], kind="stable")]
     target, cell = np.divmod(kept, KERNEL_SIZE * KERNEL_SIZE)
     weight = net.weights.reshape(FEATURE_COUNT, -1)[target // (net.out_h * net.out_w), cell]
-    return arrival[kept].tolist(), target.tolist(), weight.tolist(), dropped
+    return arrival[kept], target, weight, dropped
 
 
 def present_stimulus(net: Network, stim) -> ActivityRecord:
@@ -162,14 +166,30 @@ def present_stimulus(net: Network, stim) -> ActivityRecord:
     earliest spike per cell is kept); a spike outside the grid is
     rejected. Arrivals beyond the simulated horizon are dropped and
     counted; a negative delay, which would make an arrival precede its
-    emission, is rejected. Noise is drawn for every neuron and step up
-    front, so the stream's consumption is independent of activity.
+    emission, is rejected, and so is a negative weight (see below). Noise
+    is drawn for every neuron and step up front, so the stream's
+    consumption is independent of activity.
+
+    Per step, the carried potential leaks, noise lands, then the step's
+    arrivals charge their targets in schedule order; a neuron fires at the
+    exact arrival time that carries it to threshold, or, if noise alone
+    got it there, at the step's end. The first firing at an output
+    location wins it for the rest of the stimulus.
+
+    Firing never feeds back into potentials within a stimulus, so the
+    whole trajectory is integrated first and the firings are read off it
+    afterwards. Weights are >= 0, so within a step a potential only rises
+    and the end-of-step value is its maximum: a location is won in the
+    first step where any of its neurons ends at or above threshold, and
+    only that step is replayed, arrival by arrival, to find the winner.
     """
     cfg = net.cfg
     if net.fired.any() or net.won.any() or net.potentials.any():
         raise ValueError("present_stimulus requires reset neurons")
     if (net.delays < 0).any():
         raise ValueError("delays must be >= 0: an arrival cannot precede its emission")
+    if (net.weights < 0).any():
+        raise ValueError("weights must be >= 0: a potential may only rise within a step")
 
     times = np.full((cfg.grid_height, cfg.grid_width), np.inf)
     for sp in stim.spikes:
@@ -183,52 +203,73 @@ def present_stimulus(net: Network, stim) -> ActivityRecord:
     arrivals, targets, weights, dropped = _seed_events(net, times)
     record = ActivityRecord(input_times=times, dropped_events=dropped)
 
-    noise = draw_gaussian_array(
+    # Trajectory, in place over the noise: row s becomes the potentials at
+    # the end of step s + 1. Leak applies to the carried potential; fresh
+    # charge and noise land undecayed. An arrival belongs to the first
+    # step whose end time is at or after it. ``np.add.at`` adds in index
+    # order, so each neuron's charges sum in schedule order.
+    traj = draw_gaussian_array(
         net.noise_stream, 0.0, cfg.noise_std, (net.n_steps,) + net.potentials.shape
     ).reshape(net.n_steps, -1)
     decay = math.exp(-cfg.dt / cfg.tau_m)
+    step_ends = np.arange(1, net.n_steps + 1) * cfg.dt
+    steps = np.searchsorted(step_ends, arrivals, "left")
+    # Arrivals bounds[s]:bounds[s + 1] land in row s.
+    bounds = np.searchsorted(steps, np.arange(net.n_steps + 1)).tolist()
+    # Each arrival's target potential just before its step's charges land.
+    pre_charge = np.empty(arrivals.size)
+    prev = net.potentials.reshape(-1)
+    carried = np.empty_like(prev)
+    for row, a, b in zip(traj, bounds, bounds[1:]):
+        np.multiply(prev, decay, out=carried)
+        row += carried
+        if a < b:
+            pre_charge[a:b] = row[targets[a:b]]
+            np.add.at(row, targets[a:b], weights[a:b])
+        prev = row
 
+    # Firings, per output location.
     n_loc = net.out_h * net.out_w
-    pot, thr, fired, won = (
-        a.reshape(-1) for a in (net.potentials, net.thresholds, net.fired, net.won)
-    )
-    dt = cfg.dt
+    thr = net.thresholds.reshape(-1)
+    crossed = (traj >= thr).reshape(net.n_steps, FEATURE_COUNT, n_loc)
+    loc_crossed = crossed.any(1)
+    won = loc_crossed.any(0)
+    win_step = loc_crossed.argmax(0)
+    # Replay each won location's winning step from its pre-charge values:
+    # an arrival that tips a neuron fires it at the arrival's exact time
+    # (so the triggering synapse's lag is zero, as the delay rule's
+    # analysis assumes) and blocks every feature at its location.
+    target_loc = targets % n_loc
+    replay = np.flatnonzero(won[target_loc] & (steps == win_step[target_loc]))
+    firings = []
+    running = {}
+    taken = set()
+    for e, i, loc, s, w in zip(replay.tolist(), targets[replay].tolist(),
+                               target_loc[replay].tolist(), steps[replay].tolist(),
+                               weights[replay].tolist()):
+        if loc in taken:
+            continue
+        running[i] = p = running.get(i, pre_charge[e]) + w
+        if p >= thr[i]:
+            taken.add(loc)
+            firings.append((s, 0, e, i, float(arrivals[e])))
+    # Crossings driven by noise alone surface at the step boundary, after
+    # the step's arrivals; the lowest feature index wins the location.
+    for loc in np.flatnonzero(won).tolist():
+        if loc not in taken:
+            s = int(win_step[loc])
+            i = int(crossed[s, :, loc].argmax()) * n_loc + loc
+            firings.append((s, 1, i, i, float(step_ends[s])))
 
-    def fire(i: int, loc: int, when: float) -> None:
+    firings.sort()
+    fired = net.fired.reshape(-1)
+    for _s, _phase, _order, i, when in firings:
         fired[i] = True
-        won[loc] = True
+        f, loc = divmod(i, n_loc)
         y, x = divmod(loc, net.out_w)
-        record.feature_firings.append((i // n_loc, y, x, when))
-
-    next_event = 0
-    n_events = len(arrivals)
-    for step in range(1, net.n_steps + 1):
-        t_end = step * dt
-        # Leak applies to the carried potential; fresh charge and noise
-        # land undecayed. Ineligible neurons are updated too but their
-        # potential is never observed again this stimulus.
-        pot *= decay
-        pot += noise[step - 1]
-        # Arrivals are applied in schedule order with an immediate
-        # threshold check: a firing is stamped with the exact arrival time
-        # that tipped the neuron (so the triggering synapse's lag is zero,
-        # as the delay rule's analysis assumes) and inhibition takes
-        # effect mid-step, in arrival order. A location's first firing
-        # blocks every feature there, the firing one included.
-        while next_event < n_events and arrivals[next_event] <= t_end:
-            i = targets[next_event]
-            pot[i] += weights[next_event]
-            loc = i % n_loc
-            if not won[loc] and pot[i] >= thr[i]:
-                fire(i, loc, arrivals[next_event])
-            next_event += 1
-        # Crossings driven by noise alone surface at the step boundary,
-        # in (f, y, x) order.
-        crossed = (net.potentials >= net.thresholds) & ~net.won
-        for i in crossed.ravel().nonzero()[0].tolist():
-            loc = i % n_loc
-            if not won[loc]:
-                fire(i, loc, t_end)
+        record.feature_firings.append((f, y, x, when))
+    net.won[...] = won.reshape(net.won.shape)
+    net.potentials[...] = prev.reshape(net.potentials.shape)
     return record
 
 

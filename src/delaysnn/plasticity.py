@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import SimConfig
 
@@ -83,17 +84,24 @@ def apply_pair_updates(record, weights, delays, frozen, cfg: SimConfig) -> Plast
     dd_sum = np.zeros_like(delays)
     counts = np.zeros(weights.shape, dtype=np.int64)
 
-    for (f, y, x, t_post) in record.feature_firings:
+    firings = record.feature_firings
+    for (f, y, x, _t) in firings:
         if not (0 <= f < n_features and 0 <= y < out_h and 0 <= x < out_w):
             raise ValueError(f"firing references unknown neuron ({f}, {y}, {x})")
-        # Silent input cells (time inf) give an infinite lag and no pair.
-        # The rules stay scalar: a vectorised exp may differ in the last bit.
-        lags = t_post - times[y:y + k, x:x + k] - delays[f]
-        for ky, kx in zip(*np.nonzero(np.isfinite(lags))):
-            lag = lags[ky, kx]
-            dw_sum[f, ky, kx] += stdp_delta_w(lag, cfg)
-            dd_sum[f, ky, kx] += delay_delta_d(lag, cfg)
-            counts[f, ky, kx] += 1
+    if firings:
+        f, y, x, t_post = (np.array(column) for column in zip(*firings))
+        # lags[n, ky, kx] pairs firing n with the input cell its kernel
+        # cell (ky, kx) reads. Silent input cells (time inf) give an
+        # infinite lag and no pair.
+        lags = t_post[:, None, None] - sliding_window_view(times, (k, k))[y, x] - delays[f]
+        n, ky, kx = np.nonzero(np.isfinite(lags))
+        cells = (f[n], ky, kx)
+        # The rules stay scalar: a vectorised exp may differ in the last
+        # bit. ``np.add.at`` sums in (firing, ky, kx) order.
+        pair_lags = lags[n, ky, kx].tolist()
+        np.add.at(dw_sum, cells, [stdp_delta_w(lag, cfg) for lag in pair_lags])
+        np.add.at(dd_sum, cells, [delay_delta_d(lag, cfg) for lag in pair_lags])
+        np.add.at(counts, cells, 1)
 
     touched = counts > 0
     mean_dw = np.zeros_like(dw_sum)

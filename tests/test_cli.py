@@ -171,6 +171,19 @@ class TestTrainCommand:
         assert err.count("\n") == 1 and f"line {line_no}:" in err
         assert not out_dir.exists()
 
+    def test_negative_w_min_config_fails(self, tmp_path, capsys):
+        data = tmp_path / "dots.mdots"
+        assert main(["gen-data", "--out", str(data)]) == 0
+        capsys.readouterr()
+        cfg_path = tmp_path / "inhibitory.cfg"
+        cfg_path.write_text("w_min = -0.1\n")
+        out_dir = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--dataset", str(data),
+                     "--out", str(out_dir), "--max-epochs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "w_min: must be >= 0" in err
+        assert not out_dir.exists()
+
     def test_bad_max_epochs_fails(self, tmp_path, toy_config, capsys):
         data = tmp_path / "toy.mdots"
         main(["gen-data", "--config", str(toy_config), "--out", str(data)])

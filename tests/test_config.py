@@ -112,6 +112,20 @@ class TestValidation:
                       delay_init_spread=0.5)
         assert err.value.field == "stimulus_window"
 
+    def test_negative_w_min_rejected(self):
+        with pytest.raises(ConfigValidationError) as err:
+            parse_config_text("w_min = -0.1\n")
+        assert err.value.field == "w_min"
+        assert "must be >= 0" in str(err.value)
+        assert SimConfig(w_min=0.0).w_min == 0.0
+
+    def test_step_longer_than_window_rejected(self):
+        # A window shorter than one step would simulate no step at all.
+        with pytest.raises(ConfigValidationError) as err:
+            SimConfig(dt=1000.0)
+        assert err.value.field == "dt"
+        assert SimConfig(dt=60.0).dt == 60.0
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ConfigValidationError) as err:
             SimConfig(rng_seed=-1)

@@ -1,13 +1,15 @@
 """Topology, arrival schedule ordering, stimulus simulation and the training loop."""
 
+import copy
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaysnn.config import STREAM_NOISE, RngStream, SimConfig
+from delaysnn.config import STREAM_NOISE, RngStream, SimConfig, draw_gaussian_array
 from delaysnn.dataset import Spike, Stimulus, generate_dataset
 from delaysnn.network import (
     FEATURE_COUNT,
@@ -65,9 +67,15 @@ def _reference_schedule(net, input_times):
     return events, dropped
 
 
+def _schedule_lists(net, times):
+    """``_seed_events`` with its arrays as lists, for exact comparison."""
+    arrivals, targets, weights, dropped = _seed_events(net, times)
+    return arrivals.tolist(), targets.tolist(), weights.tolist(), dropped
+
+
 def _assert_matches_reference(net, times):
     """``_seed_events`` on ``times`` equals the oracle exactly; returns it."""
-    arrivals, targets, weights, dropped = _seed_events(net, times)
+    arrivals, targets, weights, dropped = _schedule_lists(net, times)
     cells = {(int(y), int(x)): float(times[y, x])
              for y, x in zip(*np.nonzero(np.isfinite(times)))}
     events, expected_dropped = _reference_schedule(net, cells)
@@ -106,6 +114,52 @@ def _first_spikes(cfg, spikes):
     for x, y, t in spikes:
         cells[(y, x)] = min(cells.get((y, x), np.inf), float(t))
     return _grid(cfg, cells)
+
+
+def _reference_present(net, stim):
+    """The list-walking step loop, the oracle for ``present_stimulus``.
+
+    Per step: leak, noise, then each arrival of the step in schedule order
+    with an immediate threshold check (firing at the arrival time), then
+    a boundary scan in (f, y, x) order for crossings left by noise.
+    """
+    cfg = net.cfg
+    times = _first_spikes(cfg, [(sp.x, sp.y, sp.t) for sp in stim.spikes])
+    arrivals, targets, weights, dropped = _schedule_lists(net, times)
+    record = ActivityRecord(input_times=times, dropped_events=dropped)
+    noise = draw_gaussian_array(
+        net.noise_stream, 0.0, cfg.noise_std, (net.n_steps,) + net.potentials.shape
+    ).reshape(net.n_steps, -1)
+    decay = math.exp(-cfg.dt / cfg.tau_m)
+    n_loc = net.out_h * net.out_w
+    pot, thr, fired, won = (
+        a.reshape(-1) for a in (net.potentials, net.thresholds, net.fired, net.won)
+    )
+
+    def fire(i, loc, when):
+        fired[i] = True
+        won[loc] = True
+        y, x = divmod(loc, net.out_w)
+        record.feature_firings.append((i // n_loc, y, x, when))
+
+    next_event = 0
+    for step in range(1, net.n_steps + 1):
+        t_end = step * cfg.dt
+        pot *= decay
+        pot += noise[step - 1]
+        while next_event < len(arrivals) and arrivals[next_event] <= t_end:
+            i = targets[next_event]
+            pot[i] += weights[next_event]
+            loc = i % n_loc
+            if not won[loc] and pot[i] >= thr[i]:
+                fire(i, loc, arrivals[next_event])
+            next_event += 1
+        crossed = (net.potentials >= net.thresholds) & ~net.won
+        for i in crossed.ravel().nonzero()[0].tolist():
+            loc = i % n_loc
+            if not won[loc]:
+                fire(i, loc, t_end)
+    return record
 
 
 class TestEventQueue:
@@ -260,6 +314,60 @@ class TestPresentStimulus:
             net.thresholds[:] = 1.0
             record = present_stimulus(net, _stim([(0, 0, 0), (1, 0, 0)]))
             assert record.feature_firings == firings
+
+    def test_arrival_firings_precede_boundary_firings_of_their_step(self):
+        # Neuron (0, 5, 5) gets no input and a threshold at the peak of
+        # its noise-only trajectory, so it fires at that step's end. An
+        # arrival inside the same step tips neuron (3, 0, 0): it fires
+        # first although its flat id is the higher one.
+        cfg = SimConfig()
+        net = build_network(cfg)
+        noise = RngStream(cfg.rng_seed, STREAM_NOISE).generator.normal(
+            0.0, cfg.noise_std, size=(net.n_steps,) + net.potentials.shape)
+        decay = math.exp(-cfg.dt / cfg.tau_m)
+        walk = [0.0]
+        for value in noise[:, 0, 5, 5]:
+            walk.append(walk[-1] * decay + value)
+        step = int(np.argmax(walk))
+        net.thresholds[:] = 100.0
+        net.thresholds[0, 5, 5] = walk[step]
+        net.thresholds[3, 0, 0] = 0.5
+        net.weights[:] = 0.0
+        net.weights[3, 0, 0] = 1.0
+        net.delays[:] = (step - 0.5) * cfg.dt
+        ref = copy.deepcopy(net)
+        record = present_stimulus(net, _stim([(0, 0, 0)]))
+        assert record.feature_firings == [(3, 0, 0, (step - 0.5) * cfg.dt),
+                                          (0, 5, 5, step * cfg.dt)]
+        assert repr(record.feature_firings) == repr(
+            _reference_present(ref, _stim([(0, 0, 0)])).feature_firings)
+
+    def test_rejects_negative_weight(self):
+        net = build_network(QUIET)
+        net.weights[1, 2, 0] = -0.1
+        with pytest.raises(ValueError, match="weights must be >= 0"):
+            present_stimulus(net, _stim([(0, 2, 0)]))
+
+    @pytest.mark.parametrize("overrides", [
+        {},
+        {"threshold": 1.0, "r_target": 25.0, "B_minus": 0.05, "B_plus": 0.05,
+         "sigma_minus": 0.5, "sigma_plus": 0.5},
+    ])
+    def test_matches_reference_while_training(self, overrides):
+        # Default and dense configs, learning between stimuli: the
+        # engine and the step loop see the same kernels and thresholds.
+        cfg = SimConfig(**overrides)
+        net = build_network(cfg)
+        ref = copy.deepcopy(net)
+        for stim in generate_dataset(cfg, 3).stimuli[:6]:
+            record = present_stimulus(net, stim)
+            expected = _reference_present(ref, stim)
+            assert repr(record.feature_firings) == repr(expected.feature_firings)
+            assert net.potentials.tobytes() == ref.potentials.tobytes()
+            finish_stimulus(net, record)
+            finish_stimulus(ref, expected)
+            assert net.weights.tobytes() == ref.weights.tobytes()
+            assert net.thresholds.tobytes() == ref.thresholds.tobytes()
 
     def test_requires_reset_neurons(self):
         net = build_network(QUIET)
@@ -436,22 +544,28 @@ class TestDeterminism:
 
 
 @st.composite
-def _presentations(draw):
-    """A random grid, kernel set, threshold map and stimulus, presented once.
+def _cases(draw):
+    """A random grid, kernel set, threshold map and stimulus, not yet presented.
 
-    A short window keeps each example fast; noise on some examples makes
+    A short window keeps each example fast. Coarse delays force tied
+    arrivals, some exactly at a step's end. Noise on some examples makes
     crossings at step boundaries, several per location and step when the
-    thresholds are tiny.
+    thresholds are tiny; large noise also makes noise-only crossings
+    before the first arrival and in the same step as arrival crossings.
     """
     cfg = SimConfig(grid_height=draw(st.integers(5, 9)), grid_width=draw(st.integers(5, 9)),
-                    noise_std=draw(st.sampled_from([0.0, 0.05])), delay_init_mean=10.0,
+                    noise_std=draw(st.sampled_from([0.0, 0.05, 1.0])), delay_init_mean=10.0,
                     stimulus_window=15.0, rng_seed=draw(st.integers(0, 999)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     net = _random_kernels(cfg, rng, coarse=draw(st.booleans()))
     scale = draw(st.sampled_from([1e-3, 0.1, 1.0]))
     net.thresholds[:] = scale * rng.uniform(0.5, 3.0, size=net.thresholds.shape)
-    spikes = _random_spikes(cfg, rng, draw(st.integers(0, 40)))
-    return net, spikes, present_stimulus(net, _stim(spikes))
+    return net, _random_spikes(cfg, rng, draw(st.integers(0, 40)))
+
+
+def _presentations():
+    """``_cases`` presented once: (net, spikes, record)."""
+    return _cases().map(lambda case: (*case, present_stimulus(case[0], _stim(case[1]))))
 
 
 PROPERTY = settings(max_examples=100, deadline=None)
@@ -478,7 +592,7 @@ class TestProperties:
     @given(_presentations())
     def test_firing_time_is_an_arrival_or_a_step_boundary(self, case):
         net, _spikes, record = case
-        arrivals, targets, _weights, _dropped = _seed_events(net, record.input_times)
+        arrivals, targets, _weights, _dropped = _schedule_lists(net, record.input_times)
         boundaries = {step * net.cfg.dt for step in range(1, net.n_steps + 1)}
         for f, y, x, t in record.feature_firings:
             flat = int(np.ravel_multi_index((f, y, x), net.potentials.shape))
@@ -491,3 +605,21 @@ class TestProperties:
         net, spikes, record = case
         assert np.array_equal(record.input_times, _first_spikes(net.cfg, spikes))
         _assert_matches_reference(net, record.input_times)
+
+    @PROPERTY
+    @given(_cases())
+    def test_matches_step_loop_reference(self, case):
+        net, spikes = case
+        ref = copy.deepcopy(net)
+        # A second stimulus continues the noise stream from the first.
+        for stim in (_stim(spikes), _stim(spikes[::2])):
+            record = present_stimulus(net, stim)
+            expected = _reference_present(ref, stim)
+            # repr: the same firings, in the same order, as the same Python types.
+            assert repr(record.feature_firings) == repr(expected.feature_firings)
+            assert record.dropped_events == expected.dropped_events
+            assert net.potentials.tobytes() == ref.potentials.tobytes()
+            assert np.array_equal(net.fired, ref.fired)
+            assert np.array_equal(net.won, ref.won)
+            net.reset_neurons()
+            ref.reset_neurons()

@@ -83,6 +83,24 @@ def _kernels(n_features=4, k=5, weight=0.5, delay=10.0):
     return weights, delays
 
 
+def _reference_pair_sums(record, delays, cfg):
+    """Per-firing, per-cell loop, the oracle for ``apply_pair_updates``'s batch.
+
+    Returns the summed weight and delay deltas and the pair counts per
+    kernel cell, accumulated in (firing, ky, kx) order.
+    """
+    n_features, k, _ = delays.shape
+    dw_sum, dd_sum = np.zeros(delays.shape), np.zeros(delays.shape)
+    counts = np.zeros(delays.shape, dtype=np.int64)
+    for (f, y, x, t_post) in record.feature_firings:
+        lags = t_post - record.input_times[y:y + k, x:x + k] - delays[f]
+        for ky, kx in zip(*np.nonzero(np.isfinite(lags))):
+            dw_sum[f, ky, kx] += stdp_delta_w(lags[ky, kx], cfg)
+            dd_sum[f, ky, kx] += delay_delta_d(lags[ky, kx], cfg)
+            counts[f, ky, kx] += 1
+    return dw_sum, dd_sum, counts
+
+
 class TestApplyPairUpdates:
     def test_silent_pre_no_update(self):
         weights, delays = _kernels()
@@ -150,6 +168,34 @@ class TestApplyPairUpdates:
         record = _record(input_times={(0, 0): 0.0}, firings=[(0, 0, 0, 1.0)])
         apply_pair_updates(record, weights, delays, set(), CFG)
         assert delays[0, 0, 0] == DELAY_FLOOR
+
+    def test_matches_per_firing_loop(self):
+        # Dense random firings on a 9x11 grid with silent cells, one
+        # frozen feature: the batch equals the loop's sums bit for bit.
+        cfg = CFG.replace(sigma_minus=0.5, sigma_plus=0.5, tau_plus=0.5, tau_minus=0.5)
+        rng = np.random.default_rng(11)
+        for _ in range(20):
+            times = rng.uniform(0.0, 4.0, size=(9, 11))
+            times[rng.random(times.shape) < 0.3] = np.inf
+            neurons = rng.permutation(4 * 5 * 7)[:rng.integers(0, 60)]
+            firings = [(int(n // 35), int(n % 35 // 7), int(n % 7), float(rng.uniform(0.0, 60.0)))
+                       for n in neurons]
+            record = ActivityRecord(input_times=times, feature_firings=firings)
+            weights = rng.uniform(0.0, 1.0, size=(4, 5, 5))
+            delays = rng.uniform(0.1, 55.0, size=(4, 5, 5))
+            dw_sum, dd_sum, counts = _reference_pair_sums(record, delays, cfg)
+            expected_w = weights.copy()
+            expected_d = delays.copy()
+            touched = counts > 0
+            expected_w[touched] += dw_sum[touched] / counts[touched]
+            np.clip(expected_w, cfg.w_min, cfg.w_max, out=expected_w)
+            moved = touched & (np.arange(4) != 2)[:, None, None]
+            expected_d[moved] = np.maximum(
+                expected_d[moved] + dd_sum[moved] / counts[moved], DELAY_FLOOR)
+            report = apply_pair_updates(record, weights, delays, {2}, cfg)
+            assert report.pair_count == int(counts.sum())
+            assert weights.tobytes() == expected_w.tobytes()
+            assert delays.tobytes() == expected_d.tobytes()
 
     def test_lags_use_pre_update_delays(self):
         # Both locations must see the same delay snapshot: two equal-lag
