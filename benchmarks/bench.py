@@ -3,13 +3,17 @@
 For each config (default and dense) and each seed, the script generates
 that seed's dataset, builds the network and trains a fixed number of
 epochs, timing every ``present_stimulus`` and ``finish_stimulus`` call
-and every epoch with ``time.perf_counter``. It writes the medians and
+and every epoch with ``time.perf_counter``, and counts the scheduled
+synaptic arrivals (events) to report events per second of
+``present_stimulus`` time. A separate, untimed pass of one epoch per seed
+then measures each ``present_stimulus`` call's ``tracemalloc`` peak, so
+tracing does not perturb the timings. It writes the medians and
 quartiles, with the python and numpy versions, the CPUs the process may
 use and a hash of each config, to ``BENCH_<label>.json``.
 
 Run from the repository root:
 
-    PYTHONPATH=src python3 benchmarks/bench.py --label trajectory
+    PYTHONPATH=src python3 benchmarks/bench.py --label blockwise
 
 To measure another checkout with the same script, put its ``src`` on
 ``PYTHONPATH`` instead. The script uses only the public training API, so
@@ -24,14 +28,22 @@ import json
 import os
 import platform
 import sys
+import tracemalloc
 from pathlib import Path
 from time import perf_counter
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from delaysnn.config import SimConfig, config_to_text
 from delaysnn.dataset import generate_dataset
-from delaysnn.network import build_network, finish_stimulus, present_stimulus
+from delaysnn.network import (
+    FEATURE_COUNT,
+    KERNEL_SIZE,
+    build_network,
+    finish_stimulus,
+    present_stimulus,
+)
 
 # Config overrides. ``dense`` is premise-valid (B- <= sigma-) and fires
 # about 100 feature neurons per stimulus, so the plasticity batch weighs
@@ -67,14 +79,41 @@ def _cpu_model() -> str:
     return platform.processor()
 
 
+def _events(record) -> int:
+    """Scheduled arrivals of a presentation: reachable minus dropped."""
+    reached = np.isfinite(sliding_window_view(record.input_times, (KERNEL_SIZE, KERNEL_SIZE)))
+    return FEATURE_COUNT * int(np.count_nonzero(reached)) - record.dropped_events
+
+
+def _traced_peaks_kib(overrides: dict) -> list:
+    """``tracemalloc`` peak of every presentation in one epoch per seed."""
+    peaks = []
+    for seed in SEEDS:
+        cfg = SimConfig(rng_seed=seed, **overrides)
+        ds = generate_dataset(cfg, seed)
+        net = build_network(cfg)
+        for stim in ds.stimuli:
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            try:
+                record = present_stimulus(net, stim)
+                peaks.append(tracemalloc.get_traced_memory()[1] / 1024)
+            finally:
+                tracemalloc.stop()
+            finish_stimulus(net, record)
+    return peaks
+
+
 def measure(overrides: dict) -> dict:
     """Times of every presentation, batch and epoch over ``SEEDS``."""
     present_ms, finish_ms, epoch_s = [], [], []
+    events = 0
     for seed in SEEDS:
         cfg = SimConfig(rng_seed=seed, **overrides)
         ds = generate_dataset(cfg, seed)
         net = build_network(cfg)
         for _ in range(EPOCHS):
+            records = []
             epoch_start = perf_counter()
             for stim in ds.stimuli:
                 t0 = perf_counter()
@@ -84,7 +123,10 @@ def measure(overrides: dict) -> dict:
                 t2 = perf_counter()
                 present_ms.append((t1 - t0) * 1e3)
                 finish_ms.append((t2 - t1) * 1e3)
+                records.append(record)
             epoch_s.append(perf_counter() - epoch_start)
+            events += sum(map(_events, records))
+    peaks = _traced_peaks_kib(overrides)
     # The seed only picks the streams; the hash names the model config.
     text = config_to_text(SimConfig(rng_seed=0, **overrides))
     return {
@@ -93,6 +135,8 @@ def measure(overrides: dict) -> dict:
         "present_ms": _quartiles(present_ms),
         "finish_ms": _quartiles(finish_ms),
         "epoch_s": _quartiles(epoch_s),
+        "events_per_s": events / (sum(present_ms) / 1e3),
+        "present_peak_kib": {**_quartiles(peaks), "max": max(peaks)},
     }
 
 
@@ -116,7 +160,9 @@ def main(argv=None) -> int:
         result["configs"][name] = stats = measure(overrides)
         print(f"{name}: epoch {stats['epoch_s']['median']:.3f} s, "
               f"present {stats['present_ms']['median']:.2f} ms, "
-              f"finish {stats['finish_ms']['median']:.2f} ms (medians)", file=sys.stderr)
+              f"finish {stats['finish_ms']['median']:.2f} ms, "
+              f"present peak {stats['present_peak_kib']['median']:.0f} KiB (medians), "
+              f"{stats['events_per_s']:.0f} events/s", file=sys.stderr)
     path = Path(args.out_dir) / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=2, sort_keys=True, allow_nan=False) + "\n")
     print(path)

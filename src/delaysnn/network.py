@@ -9,8 +9,11 @@ first-spike times in one broadcast and sorted once into a time-ordered
 schedule, while membrane integration advances on a fixed grid of ``dt``
 steps. The first feature neuron to fire at an output location wins it:
 no feature fires there again for the rest of the stimulus. Firing does
-not feed back into potentials, so a stimulus's whole potential
-trajectory is integrated first and its firings read off it per location.
+not feed back into potentials, so a stimulus's potential trajectory is
+integrated first and its firings read off it per location. The
+trajectory is streamed in blocks of steps, in step order: each block's
+noise is drawn, integrated and reduced to per-location first crossings
+before the next, so the whole (steps x neurons) trajectory is never held.
 
 All learning happens in :func:`finish_stimulus`, batched at stimulus end;
 :func:`present_stimulus` only simulates and records.
@@ -42,6 +45,10 @@ KERNEL_SIZE = 5
 
 # Decay of the per-feature firing-rate estimate used by homeostasis.
 RATE_EMA_DECAY = 0.9
+
+# Bytes of float64 noise that ``present_stimulus`` draws and integrates
+# at a time (at least one step's worth), so it never holds every step.
+BLOCK_BYTES = 256 * 1024
 
 
 @dataclass
@@ -163,12 +170,12 @@ def present_stimulus(net: Network, stim) -> ActivityRecord:
     """Run one stimulus through the network and record all firings.
 
     No plasticity here. Input cells follow first-spike coding (the
-    earliest spike per cell is kept); a spike outside the grid is
-    rejected. Arrivals beyond the simulated horizon are dropped and
-    counted; a negative delay, which would make an arrival precede its
-    emission, is rejected, and so is a negative weight (see below). Noise
-    is drawn for every neuron and step up front, so the stream's
-    consumption is independent of activity.
+    earliest spike per cell is kept); a spike outside the grid or at a
+    negative or non-finite time is rejected. Arrivals beyond the simulated
+    horizon are dropped and counted; a negative delay, which would make an
+    arrival precede its emission, is rejected, and so is a negative weight
+    (see below). Noise is drawn for every neuron and step, block by block
+    in step order, so the stream's consumption is independent of activity.
 
     Per step, the carried potential leaks, noise lands, then the step's
     arrivals charge their targets in schedule order; a neuron fires at the
@@ -177,11 +184,14 @@ def present_stimulus(net: Network, stim) -> ActivityRecord:
     location wins it for the rest of the stimulus.
 
     Firing never feeds back into potentials within a stimulus, so the
-    whole trajectory is integrated first and the firings are read off it
+    trajectory is integrated first and the firings are read off it
     afterwards. Weights are >= 0, so within a step a potential only rises
     and the end-of-step value is its maximum: a location is won in the
     first step where any of its neurons ends at or above threshold, and
     only that step is replayed, arrival by arrival, to find the winner.
+    The trajectory is integrated in blocks of ``BLOCK_BYTES`` worth of
+    steps, each block reduced to its locations' first crossings before the
+    next block's noise is drawn, so memory does not grow with the window.
     """
     cfg = net.cfg
     if net.fired.any() or net.won.any() or net.potentials.any():
@@ -198,19 +208,24 @@ def present_stimulus(net: Network, stim) -> ActivityRecord:
                 f"spike at x={sp.x}, y={sp.y} lies outside the "
                 f"{cfg.grid_height}x{cfg.grid_width} grid"
             )
+        if not 0 <= sp.t < math.inf:
+            raise ValueError(
+                f"spike at x={sp.x}, y={sp.y} has time {sp.t}: must be finite and >= 0"
+            )
         times[sp.y, sp.x] = min(times[sp.y, sp.x], sp.t)
 
     arrivals, targets, weights, dropped = _seed_events(net, times)
     record = ActivityRecord(input_times=times, dropped_events=dropped)
 
-    # Trajectory, in place over the noise: row s becomes the potentials at
-    # the end of step s + 1. Leak applies to the carried potential; fresh
-    # charge and noise land undecayed. An arrival belongs to the first
-    # step whose end time is at or after it. ``np.add.at`` adds in index
-    # order, so each neuron's charges sum in schedule order.
-    traj = draw_gaussian_array(
-        net.noise_stream, 0.0, cfg.noise_std, (net.n_steps,) + net.potentials.shape
-    ).reshape(net.n_steps, -1)
+    # Trajectory, block by block in step order, in place over each block's
+    # noise: row s of the whole trajectory is the potentials at the end of
+    # step s + 1. Leak applies to the carried potential; fresh charge and
+    # noise land undecayed. An arrival belongs to the first step whose end
+    # time is at or after it. ``np.add.at`` adds in index order, so each
+    # neuron's charges sum in schedule order. Consecutive draws equal one
+    # draw of all steps, so the block size does not change the bytes.
+    n_loc = net.out_h * net.out_w
+    thr = net.thresholds.reshape(-1)
     decay = math.exp(-cfg.dt / cfg.tau_m)
     step_ends = np.arange(1, net.n_steps + 1) * cfg.dt
     steps = np.searchsorted(step_ends, arrivals, "left")
@@ -220,21 +235,35 @@ def present_stimulus(net: Network, stim) -> ActivityRecord:
     pre_charge = np.empty(arrivals.size)
     prev = net.potentials.reshape(-1)
     carried = np.empty_like(prev)
-    for row, a, b in zip(traj, bounds, bounds[1:]):
-        np.multiply(prev, decay, out=carried)
-        row += carried
-        if a < b:
-            pre_charge[a:b] = row[targets[a:b]]
-            np.add.at(row, targets[a:b], weights[a:b])
-        prev = row
+    # Per location: whether it is won, the first step in which one of its
+    # neurons ends at or above threshold, and the lowest such feature.
+    won = np.zeros(n_loc, dtype=bool)
+    win_step = np.zeros(n_loc, dtype=np.intp)
+    win_feature = np.zeros(n_loc, dtype=np.intp)
+    block_steps = max(1, BLOCK_BYTES // (8 * prev.size))
+    for start in range(0, net.n_steps, block_steps):
+        block = draw_gaussian_array(
+            net.noise_stream, 0.0, cfg.noise_std,
+            (min(block_steps, net.n_steps - start), prev.size),
+        )
+        for row, a, b in zip(block, bounds[start:], bounds[start + 1:]):
+            np.multiply(prev, decay, out=carried)
+            row += carried
+            if a < b:
+                pre_charge[a:b] = row[targets[a:b]]
+                np.add.at(row, targets[a:b], weights[a:b])
+            prev = row
+        # Reduce the block's crossings before the next draw.
+        new = (block.max(0) >= thr).reshape(FEATURE_COUNT, n_loc).any(0) & ~won
+        if new.any():
+            locs = np.flatnonzero(new)
+            crossed = (block.reshape(-1, FEATURE_COUNT, n_loc)[:, :, locs]
+                       >= thr.reshape(FEATURE_COUNT, n_loc)[:, locs])
+            first = crossed.any(1).argmax(0)
+            won[locs] = True
+            win_step[locs] = start + first
+            win_feature[locs] = crossed[first, :, np.arange(locs.size)].argmax(1)
 
-    # Firings, per output location.
-    n_loc = net.out_h * net.out_w
-    thr = net.thresholds.reshape(-1)
-    crossed = (traj >= thr).reshape(net.n_steps, FEATURE_COUNT, n_loc)
-    loc_crossed = crossed.any(1)
-    won = loc_crossed.any(0)
-    win_step = loc_crossed.argmax(0)
     # Replay each won location's winning step from its pre-charge values:
     # an arrival that tips a neuron fires it at the arrival's exact time
     # (so the triggering synapse's lag is zero, as the delay rule's
@@ -258,7 +287,7 @@ def present_stimulus(net: Network, stim) -> ActivityRecord:
     for loc in np.flatnonzero(won).tolist():
         if loc not in taken:
             s = int(win_step[loc])
-            i = int(crossed[s, :, loc].argmax()) * n_loc + loc
+            i = int(win_feature[loc]) * n_loc + loc
             firings.append((s, 1, i, i, float(step_ends[s])))
 
     firings.sort()

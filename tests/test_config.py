@@ -7,6 +7,7 @@ import pytest
 
 from delaysnn.config import (
     STREAM_DELAYS,
+    STREAM_NOISE,
     STREAM_WEIGHTS,
     ConfigParseError,
     ConfigValidationError,
@@ -188,6 +189,22 @@ class TestRngStreams:
         # ... and wider ones are not folded back onto them.
         assert draws(2**64) != draws(0)
         assert draws(2**64 + 5) != draws(5)
+
+    def test_consecutive_blocks_equal_one_draw(self):
+        # The network draws a stimulus's noise block by block; how a draw
+        # is split must change neither the values nor the stream's state.
+        whole = RngStream(3, STREAM_NOISE)
+        split = RngStream(3, STREAM_NOISE)
+        expected = draw_gaussian_array(whole, 0.0, 0.05, (600, 7))
+        blocks = [draw_gaussian_array(split, 0.0, 0.05, (n, 7)) for n in (67, 1, 250, 282)]
+        assert np.concatenate(blocks).tobytes() == expected.tobytes()
+        assert split.generator.bit_generator.state == whole.generator.bit_generator.state
+
+    def test_zero_std_consumes_nothing(self):
+        stream = RngStream(3, STREAM_NOISE)
+        before = stream.generator.bit_generator.state
+        draw_gaussian_array(stream, 0.0, 0.0, (600, 7))
+        assert stream.generator.bit_generator.state == before
 
     def test_bulk_matches_contract(self):
         stream = RngStream(7, STREAM_DELAYS)

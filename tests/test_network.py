@@ -3,6 +3,8 @@
 import copy
 import json
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from delaysnn.config import STREAM_NOISE, RngStream, SimConfig, draw_gaussian_array
+from delaysnn import network
 from delaysnn.dataset import Spike, Stimulus, generate_dataset
 from delaysnn.network import (
     FEATURE_COUNT,
@@ -281,6 +284,48 @@ class TestPresentStimulus:
         for spike in ((QUIET.grid_width, 0, 0), (0, -1, 0), (-1, 3, 2)):
             with pytest.raises(ValueError, match="outside"):
                 present_stimulus(net, _stim([(1, 1, 0), spike]))
+
+    @pytest.mark.parametrize("t", [math.nan, -math.inf, math.inf, -1.0])
+    def test_non_finite_or_negative_spike_time_rejected(self, t):
+        net = build_network(QUIET)
+        with pytest.raises(ValueError, match="must be finite and >= 0"):
+            present_stimulus(net, _stim([(1, 1, 0), (2, 2, t)]))
+
+    def test_int_spike_time_accepted(self):
+        net = build_network(QUIET)
+        record = present_stimulus(net, _stim([(2, 3, 4)]))
+        assert record.input_times[3, 2] == 4.0
+
+    @pytest.mark.parametrize("busy", [False, True])
+    def test_draws_one_noise_value_per_neuron_and_step(self, busy):
+        # The stream's consumption is independent of activity.
+        cfg = SimConfig()
+        net = build_network(cfg)
+        if busy:
+            net.thresholds[:] = 0.5
+        stim = generate_dataset(cfg, 0).stimuli[0] if busy else _stim([])
+        record = present_stimulus(net, stim)
+        assert bool(record.feature_firings) == busy
+        expected = RngStream(cfg.rng_seed, STREAM_NOISE).generator
+        expected.normal(0.0, cfg.noise_std, size=net.n_steps * net.potentials.size)
+        assert net.noise_stream.generator.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize("grid, limit_mib", [(15, 1.0), (31, 4.0)])
+    def test_traced_peak_of_one_presentation(self, grid, limit_mib):
+        # The trajectory is integrated block by block: the whole
+        # (steps x neurons) float64 trajectory alone would take 2.2 MiB at
+        # the default grid and 13.3 MiB at 31x31.
+        cfg = SimConfig(grid_height=grid, grid_width=grid)
+        net = build_network(cfg)
+        stim = generate_dataset(cfg, 0).stimuli[0]
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            present_stimulus(net, stim)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20
 
     def test_beyond_window_events_dropped_and_counted(self):
         net = build_network(QUIET)
@@ -623,3 +668,21 @@ class TestProperties:
             assert np.array_equal(net.won, ref.won)
             net.reset_neurons()
             ref.reset_neurons()
+
+    @PROPERTY
+    @given(_cases(), st.integers(1, 40))
+    def test_block_size_does_not_change_the_result(self, case, block_steps):
+        # Blocks of a few steps put block boundaries inside the window, so
+        # a location's first crossing must carry over from block to block.
+        net, spikes = case
+        ref = copy.deepcopy(net)
+        budget = block_steps * 8 * net.potentials.size
+        with mock.patch.object(network, "BLOCK_BYTES", budget):
+            for stim in (_stim(spikes), _stim(spikes[::2])):
+                record = present_stimulus(net, stim)
+                expected = _reference_present(ref, stim)
+                assert repr(record.feature_firings) == repr(expected.feature_firings)
+                assert net.potentials.tobytes() == ref.potentials.tobytes()
+                assert np.array_equal(net.won, ref.won)
+                net.reset_neurons()
+                ref.reset_neurons()
