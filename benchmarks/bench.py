@@ -7,9 +7,11 @@ and every epoch with ``time.perf_counter``, and counts the scheduled
 synaptic arrivals (events) to report events per second of
 ``present_stimulus`` time. A separate, untimed pass of one epoch per seed
 then measures each ``present_stimulus`` call's ``tracemalloc`` peak, so
-tracing does not perturb the timings. It writes the medians and
-quartiles, with the python and numpy versions, the CPUs the process may
-use and a hash of each config, to ``BENCH_<label>.json``.
+tracing does not perturb the timings. Last, it times one seed's
+training at the default config from a fresh network until every feature
+froze (at most 100 epochs). It writes the medians and quartiles, the
+train-to-freeze time and epoch, the python and numpy versions, the CPUs
+the process may use and a hash of each config, to ``BENCH_<label>.json``.
 
 Run from the repository root:
 
@@ -43,6 +45,7 @@ from delaysnn.network import (
     build_network,
     finish_stimulus,
     present_stimulus,
+    train,
 )
 
 # Config overrides. ``dense`` is premise-valid (B- <= sigma-) and fires
@@ -62,6 +65,9 @@ CONFIGS = {
 SEEDS = range(10)
 # As many epochs as perfbench's train-default trains.
 EPOCHS = 2
+# Train-to-freeze: one seed at the default config, capped like the CLI.
+FREEZE_SEED = 0
+FREEZE_MAX_EPOCHS = 100
 
 
 def _quartiles(values: list) -> dict:
@@ -140,6 +146,24 @@ def measure(overrides: dict) -> dict:
     }
 
 
+def train_to_freeze() -> dict:
+    """Wall time of ``train`` at defaults until every feature froze."""
+    cfg = SimConfig(rng_seed=FREEZE_SEED)
+    ds = generate_dataset(cfg, FREEZE_SEED)
+    net = build_network(cfg)
+    start = perf_counter()
+    summary = train(net, ds, FREEZE_MAX_EPOCHS)
+    wall_s = perf_counter() - start
+    frozen = None not in summary.freeze_epochs
+    return {
+        "seed": FREEZE_SEED,
+        "max_epochs": FREEZE_MAX_EPOCHS,
+        "wall_s": wall_s,
+        "epochs_run": summary.epochs_run,
+        "freeze_epoch": max(summary.freeze_epochs) if frozen else None,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
@@ -163,6 +187,9 @@ def main(argv=None) -> int:
               f"finish {stats['finish_ms']['median']:.2f} ms, "
               f"present peak {stats['present_peak_kib']['median']:.0f} KiB (medians), "
               f"{stats['events_per_s']:.0f} events/s", file=sys.stderr)
+    result["train_to_freeze"] = freeze = train_to_freeze()
+    print(f"train to freeze, seed {FREEZE_SEED}: {freeze['wall_s']:.2f} s, "
+          f"freeze epoch {freeze['freeze_epoch']}", file=sys.stderr)
     path = Path(args.out_dir) / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(result, indent=2, sort_keys=True, allow_nan=False) + "\n")
     print(path)

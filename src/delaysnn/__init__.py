@@ -1,11 +1,6 @@
 """Event-scheduled spiking-network simulator with synaptic delay learning."""
 
-from .config import (
-    RngStream,
-    SimConfig,
-    load_config,
-    save_config,
-)
+from .config import RngStream, SimConfig, load_config
 from .dataset import Dataset, Stimulus, generate_dataset, read_dataset, write_dataset
 from .network import (
     ActivityRecord,

@@ -14,8 +14,9 @@ the recorded trajectory; :func:`lag_fixed_point_step` is the recurrence
 itself, written independently of the rule and used as the prediction
 oracle.
 
-Also here: direction-selectivity measurement over a dataset and feature
-snapshot export (numeric JSON and an SVG where larger circles mean lower
+Also here: the premise report every run records in its manifest,
+direction-selectivity measurement over a dataset and feature snapshot
+export (numeric JSON and an SVG where larger circles mean lower
 delay and darker fill means higher weight).
 """
 
@@ -263,6 +264,35 @@ def random_scenario(rng: np.random.Generator, repetitions: int = 500,
     )
 
 
+# Threshold adaptation and homeostasis both steer a feature's spike
+# count. Set points further apart than this factor make homeostasis scale
+# every delay toward a rate the thresholds never settle at: the delays
+# drift to the freeze floor, and the freeze then measures the controllers'
+# disagreement, not learning.
+RATE_CONSISTENCY_FACTOR = 2.0
+
+
+def premises(cfg: SimConfig) -> dict:
+    """Each premise of the learning rules, as ``{rule, lhs, rhs, holds}``.
+
+    ``rate`` compares the threshold-adaptation equilibrium, a firing
+    probability of down / (down + up) per neuron summed over a feature
+    map, with r_target; with no threshold adaptation it holds trivially.
+    """
+    adapt = cfg.threshold_adapt_down + cfg.threshold_adapt_up
+    cells = max(0, cfg.grid_height - KERNEL_SIZE + 1) * max(0, cfg.grid_width - KERNEL_SIZE + 1)
+    rate = cfg.threshold_adapt_down / adapt * cells if adapt else None
+    low, high = cfg.r_target / RATE_CONSISTENCY_FACTOR, cfg.r_target * RATE_CONSISTENCY_FACTOR
+    rows = {
+        "contraction": ("B_minus <= sigma_minus", cfg.B_minus, cfg.sigma_minus,
+                        cfg.B_minus <= cfg.sigma_minus),
+        "freeze": ("freeze_c > B_minus", cfg.freeze_c, cfg.B_minus, cfg.freeze_c > cfg.B_minus),
+        "rate": (f"threshold equilibrium spikes per map within {RATE_CONSISTENCY_FACTOR:g}x "
+                 "of r_target", rate, cfg.r_target, rate is None or low <= rate <= high),
+    }
+    return {name: dict(zip(("rule", "lhs", "rhs", "holds"), row)) for name, row in rows.items()}
+
+
 @dataclass
 class SelectivityMatrix:
     """Stimulus counts with at least one firing, per (feature, direction)."""
@@ -325,13 +355,6 @@ def export_snapshot(net: Network, path: str | Path, fmt: str = "numeric") -> Non
         Path(path).write_text(_render_svg(net))
     else:
         raise ValueError(f"unknown snapshot format {fmt!r}")
-
-
-def read_snapshot(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    data = json.loads(Path(path).read_text())
-    weights = np.array([feat["weights"] for feat in data["features"]])
-    delays = np.array([feat["delays"] for feat in data["features"]])
-    return weights, delays
 
 
 CELL = 24

@@ -24,12 +24,7 @@ def _log(message: str) -> None:
 
 def _resolve_config(args) -> SimConfig:
     cfg = load_config(args.config) if args.config else SimConfig()
-    overrides = {}
-    if args.seed is not None:
-        overrides["rng_seed"] = args.seed
-    if getattr(args, "strict_freeze", False):
-        overrides["strict_freeze"] = True
-    return cfg.replace(**overrides) if overrides else cfg
+    return cfg if args.seed is None else cfg.replace(rng_seed=args.seed)
 
 
 def _write_manifest(path: Path, command: str, args, cfg: SimConfig,
@@ -39,6 +34,7 @@ def _write_manifest(path: Path, command: str, args, cfg: SimConfig,
         "argv": args.argv,
         "seed": cfg.rng_seed,
         "config": cfg.as_dict(),
+        "premises": analysis.premises(cfg),
         "artifacts": {name: str(p) for name, p in artifacts.items()},
         "duration_seconds": time.perf_counter() - started,
     }
@@ -175,8 +171,15 @@ def cmd_verify(args) -> int:
     return 0 if all_passed else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises on a usage error, so ``main`` reports it in one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="delaysnn",
         description="Spiking-network simulator with unsupervised synaptic delay learning",
     )
@@ -185,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="config file (key = value lines)")
         p.add_argument("--seed", type=int, help="override the config rng_seed")
-        p.add_argument("--strict-freeze", action="store_true", dest="strict_freeze",
-                       help="require freeze_c > B_minus")
 
     p_gen = sub.add_parser("gen-data", help="generate a moving-dots dataset")
     common(p_gen)
@@ -213,9 +214,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser().parse_args(argv)
-    args.argv = argv
     try:
+        args = build_parser().parse_args(argv)
+        args.argv = argv
         return args.func(args)
     except (ConfigError, dataset.DatasetFormatError, ValueError, OSError) as exc:
         _log(f"error: {exc}")

@@ -108,7 +108,6 @@ class SimConfig:
 
     # Run control
     rng_seed: int = 42
-    strict_freeze: bool = False
 
     def __post_init__(self):
         validate_config(self)
@@ -122,8 +121,7 @@ class SimConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SimConfig)}
 _INT_FIELDS = {"grid_height", "grid_width", "rng_seed"}
-_BOOL_FIELDS = {"strict_freeze"}
-_FLOAT_FIELDS = [name for name in _FIELD_TYPES if name not in _INT_FIELDS | _BOOL_FIELDS]
+_FLOAT_FIELDS = [name for name in _FIELD_TYPES if name not in _INT_FIELDS]
 
 
 def _require(cond: bool, field: str, message: str) -> None:
@@ -181,23 +179,10 @@ def validate_config(cfg: SimConfig) -> None:
         f"must be >= delay_init_mean + 6*delay_init_spread + {last_frame:g} "
         f"({slowest:g})",
     )
-    if cfg.strict_freeze:
-        _require(
-            cfg.freeze_c > cfg.B_minus,
-            "freeze_c",
-            "strict_freeze requires freeze_c > B_minus",
-        )
 
 
 def _parse_value(field: str, raw: str, line_no: int):
     try:
-        if field in _BOOL_FIELDS:
-            low = raw.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(f"expected boolean, got {raw!r}")
         if field in _INT_FIELDS:
             return int(raw)
         return float(raw)
@@ -233,20 +218,9 @@ def load_config(path: str | Path) -> SimConfig:
 
 
 def config_to_text(cfg: SimConfig) -> str:
-    """Serialize with full float precision so load(save(cfg)) == cfg."""
-    lines = []
-    for f in dataclasses.fields(SimConfig):
-        value = getattr(cfg, f.name)
-        if isinstance(value, bool):
-            rendered = "true" if value else "false"
-        else:
-            rendered = repr(value)
-        lines.append(f"{f.name} = {rendered}")
+    """Serialize with full float precision so parsing the text gives back ``cfg``."""
+    lines = [f"{f.name} = {getattr(cfg, f.name)!r}" for f in dataclasses.fields(SimConfig)]
     return "\n".join(lines) + "\n"
-
-
-def save_config(cfg: SimConfig, path: str | Path) -> None:
-    Path(path).write_text(config_to_text(cfg))
 
 
 @dataclass

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -75,9 +74,6 @@ class Dataset:
     grid_height: int
     grid_width: int
     stimuli: list = field(default_factory=list)
-
-    def direction_histogram(self) -> Counter:
-        return Counter(stim.direction for stim in self.stimuli)
 
 
 def coherent_trajectory(start, direction_deg, steps, grid=None) -> list:

@@ -5,6 +5,7 @@ in addition to asserting.
 """
 
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -21,6 +22,7 @@ from delaysnn.analysis import (
 from delaysnn.cli import main
 from delaysnn.config import SimConfig
 from delaysnn.dataset import (
+    _DIAGONAL_STEP,
     DIRECTIONS,
     build_stimulus,
     generate_dataset,
@@ -212,6 +214,33 @@ class TestCriterion7:
         assert runtime_ok
         assert bijective_count >= 8
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hand_built_kernels_reach_bijection(self, seed):
+        """Ceiling check for 7b: with kernels that already hold each
+        direction's delay ramp, the engine and the measurement give a
+        bijective selectivity at the default threshold. So a 7b failure
+        lies in learning, not in the engine or the measurement."""
+        cfg = SimConfig(rng_seed=seed)
+        ds = generate_dataset(cfg, seed)
+        net = build_network(cfg)
+        net.weights[:] = 0.0
+        for f, direction in enumerate(DIRECTIONS):
+            dx, dy = _DIAGONAL_STEP[direction]
+            for j in range(-2, 3):
+                # Cells later along the motion get shorter delays, so the
+                # five arrivals of a dot moving in ``direction`` coincide.
+                net.weights[f, 2 + dy * j, 2 + dx * j] = 1.0
+                net.delays[f, 2 + dy * j, 2 + dx * j] = 50.0 - j
+        sel = measure_selectivity(net, ds)
+        own = sel.counts.diagonal()
+        others = sel.counts[~np.eye(FEATURE_COUNT, dtype=bool)]
+        _line(f"criterion 7b ceiling, seed {seed}", sel.bijective,
+              f"preferred {sel.preferred}, own {own.tolist()}, max other {others.max()}")
+        assert sel.bijective
+        assert sel.preferred == list(DIRECTIONS)
+        assert (own >= 23).all()
+        assert (others <= 12).all()
+
 
 class TestCriterion8:
     def test_byte_identical_reruns(self, tmp_path):
@@ -245,7 +274,7 @@ class TestCriterion9:
         ds = generate_dataset(cfg, 42)
         assert len(ds.stimuli) == 100
 
-        hist = ds.direction_histogram()
+        hist = Counter(stim.direction for stim in ds.stimuli)
         assert [hist[d] for d in DIRECTIONS] == [25, 25, 25, 25]
 
         step = {45: (1, 1), -45: (1, -1), 135: (-1, 1), -135: (-1, -1)}

@@ -16,8 +16,8 @@ from delaysnn.analysis import (
     iterations_to_tolerance,
     lag_fixed_point_step,
     measure_selectivity,
+    premises,
     random_scenario,
-    read_snapshot,
     run_convergence_suite,
     run_property_checks,
 )
@@ -223,6 +223,47 @@ class TestConvergenceSuite:
         assert "FAIL" in capsys.readouterr().out
 
 
+# perfbench's train-dense overrides: premise-valid delay rule, dense firing.
+DENSE = dict(threshold=1.0, r_target=25.0, B_minus=0.05, B_plus=0.05,
+             sigma_minus=0.5, sigma_plus=0.5)
+
+
+class TestPremises:
+    @staticmethod
+    def _holds(cfg):
+        report = premises(cfg)
+        assert list(report) == ["contraction", "freeze", "rate"]
+        return [p["holds"] for p in report.values()]
+
+    def test_defaults(self):
+        assert self._holds(SimConfig()) == [False, False, True]
+        report = premises(SimConfig())
+        assert (report["contraction"]["lhs"], report["contraction"]["rhs"]) == (5.0, 0.001)
+        # 0.0001 / (0.0001 + 0.05) per neuron over the 11x11 feature map.
+        assert report["rate"]["lhs"] == pytest.approx(0.2415, abs=1e-4)
+        assert report["rate"]["rhs"] == 0.3
+
+    def test_dense_config(self):
+        assert self._holds(SimConfig(**DENSE)) == [True, False, False]
+        assert premises(SimConfig(**DENSE))["rate"]["lhs"] == pytest.approx(0.2415, abs=1e-4)
+
+    def test_freeze_premise_needs_large_c(self):
+        assert not premises(SimConfig(freeze_c=5.0))["freeze"]["holds"]
+        assert premises(SimConfig(freeze_c=6.0))["freeze"]["holds"]
+
+    def test_rate_premise_within_factor(self):
+        # An equilibrium of 0.2415 spikes per map is within 2x of an
+        # r_target from about 0.121 to 0.483.
+        assert self._holds(SimConfig(r_target=0.48))[2]
+        assert not self._holds(SimConfig(r_target=0.49))[2]
+        assert self._holds(SimConfig(r_target=0.121))[2]
+        assert not self._holds(SimConfig(r_target=0.12))[2]
+
+    def test_no_threshold_adaptation_has_no_rate_conflict(self):
+        report = premises(SimConfig(threshold_adapt_up=0.0, threshold_adapt_down=0.0))
+        assert report["rate"]["lhs"] is None and report["rate"]["holds"]
+
+
 class TestPropertyChecks:
     def test_all_rows_pass_at_defaults(self):
         rows = run_property_checks(123, SimConfig(), samples=2000)
@@ -294,9 +335,9 @@ class TestSnapshots:
         net = build_network(SimConfig())
         path = tmp_path / "snap.json"
         export_snapshot(net, path, "numeric")
-        weights, delays = read_snapshot(path)
-        assert (weights == net.weights).all()
-        assert (delays == net.delays).all()
+        features = json.loads(path.read_text())["features"]
+        assert (np.array([f["weights"] for f in features]) == net.weights).all()
+        assert (np.array([f["delays"] for f in features]) == net.delays).all()
 
     def test_numeric_is_deterministic(self, tmp_path):
         net = build_network(SimConfig())

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from delaysnn.cli import main
-from delaysnn.config import SimConfig, save_config
+from delaysnn.config import SimConfig, config_to_text
 
 
 @pytest.fixture
@@ -14,8 +14,16 @@ def toy_config(tmp_path):
     cfg = SimConfig(grid_height=7, grid_width=7, delay_init_mean=10.0,
                     stimulus_window=15.0, rng_seed=5)
     path = tmp_path / "toy.cfg"
-    save_config(cfg, path)
+    path.write_text(config_to_text(cfg))
     return path
+
+
+def _holds(manifest: dict) -> list:
+    """The premise verdicts in a manifest: contraction, freeze, rate."""
+    premises = manifest["premises"]
+    assert list(premises) == ["contraction", "freeze", "rate"]
+    assert all(set(p) == {"rule", "lhs", "rhs", "holds"} for p in premises.values())
+    return [p["holds"] for p in premises.values()]
 
 
 class TestGenData:
@@ -28,6 +36,7 @@ class TestGenData:
         manifest = json.loads((tmp_path / "dots.mdots.manifest.json").read_text())
         assert manifest["command"] == "gen-data"
         assert manifest["config"]["threshold"] == 4.15
+        assert _holds(manifest) == [False, False, True]
 
     def test_same_seed_identical_files(self, tmp_path):
         a, b = tmp_path / "a.mdots", tmp_path / "b.mdots"
@@ -83,7 +92,7 @@ class TestGenData:
         manifest = json.loads((tmp_path / "first.mdots.manifest.json").read_text())
         cfg = SimConfig(**manifest["config"])
         cfg_path = tmp_path / "replay.cfg"
-        save_config(cfg, cfg_path)
+        cfg_path.write_text(config_to_text(cfg))
         second = tmp_path / "second.mdots"
         assert main(["gen-data", "--config", str(cfg_path), "--out", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
@@ -104,6 +113,8 @@ class TestTrainCommand:
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["command"] == "train"
         assert manifest["epochs_run"] >= 1
+        # A 3x3 feature map settles near 0.018 spikes, far below r_target.
+        assert _holds(manifest) == [False, False, False]
 
     def test_snapshot_every_epoch(self, tmp_path, toy_config):
         data = tmp_path / "toy.mdots"
@@ -210,6 +221,7 @@ class TestVerifyCommand:
         assert (out / "report.txt").exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["all_passed"] is True
+        assert _holds(manifest) == [False, False, True]
 
     def test_report_text_is_deterministic(self, tmp_path, capsys):
         texts = []
@@ -236,14 +248,47 @@ class TestVerifyCommand:
         assert captured.err.count("\n") == 1 and "rng_seed" in captured.err
         assert not out.exists()
 
-    def test_strict_freeze_rejects_default_config(self, tmp_path):
-        code = main(["verify", "--out", str(tmp_path / "v"), "--strict-freeze",
-                     "--scenarios", "5"])
-        assert code == 1
+    def test_manifest_premises_follow_config(self, tmp_path):
+        # A config that breaks only the contraction premise still
+        # verifies; the manifest says which premise it breaks.
+        cfg_path = tmp_path / "freeze.cfg"
+        cfg_path.write_text("freeze_c = 6.0\n")
+        out = tmp_path / "v"
+        assert main(["verify", "--config", str(cfg_path), "--out", str(out),
+                     "--scenarios", "5"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert _holds(manifest) == [False, True, True]
+        assert manifest["premises"]["freeze"]["lhs"] == 6.0
+        assert "strict_freeze" not in manifest["config"]
 
-    def test_strict_freeze_accepts_consistent_config(self, tmp_path):
-        cfg_path = tmp_path / "strict.cfg"
-        save_config(SimConfig(freeze_c=6.0), cfg_path)
-        code = main(["verify", "--config", str(cfg_path), "--strict-freeze",
-                     "--out", str(tmp_path / "v"), "--scenarios", "5"])
-        assert code == 0
+    def test_strict_freeze_key_fails(self, tmp_path, capsys):
+        cfg_path = tmp_path / "old.cfg"
+        cfg_path.write_text("strict_freeze = true\nfreeze_c = 6.0\n")
+        out = tmp_path / "v"
+        assert main(["verify", "--config", str(cfg_path), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: unknown key 'strict_freeze'\n"
+        assert not out.exists()
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "--bogus"], "unrecognized arguments: --bogus"),
+        (["verify", "--scenarios", "abc"], "argument --scenarios: invalid int value: 'abc'"),
+        (["train", "--out", "run"], "the following arguments are required: --dataset"),
+        (["verify", "--strict-freeze"], "unrecognized arguments: --strict-freeze"),
+    ], ids=["unknown-flag", "non-integer", "missing-dataset", "removed-flag"])
+    def test_one_line_exit_1(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "-h"])
+        assert exc.value.code == 0
+        assert "--scenarios" in capsys.readouterr().out

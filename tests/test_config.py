@@ -17,7 +17,6 @@ from delaysnn.config import (
     draw_gaussian_array,
     load_config,
     parse_config_text,
-    save_config,
 )
 from delaysnn.dataset import FRAMES
 
@@ -70,10 +69,13 @@ class TestParsing:
         assert err.value.line_no == 3
         assert "duplicate key 'threshold'" in str(err.value)
 
-    def test_bool_field(self):
-        assert parse_config_text("strict_freeze = false\n").strict_freeze is False
-        cfg = parse_config_text("strict_freeze = true\nfreeze_c = 6.0\n")
-        assert cfg.strict_freeze is True
+    def test_strict_freeze_key_is_unknown(self):
+        # The freeze premise is reported in every manifest, not enforced
+        # by a config switch.
+        with pytest.raises(ConfigParseError) as err:
+            parse_config_text("freeze_c = 6.0\nstrict_freeze = true\n")
+        assert err.value.line_no == 2
+        assert "unknown key 'strict_freeze'" in str(err.value)
 
 
 class TestValidation:
@@ -91,13 +93,6 @@ class TestValidation:
         for field in ("tau_m", "tau_plus", "tau_minus", "sigma_plus", "sigma_minus", "dt"):
             with pytest.raises(ConfigValidationError):
                 SimConfig(**{field: 0.0})
-
-    def test_strict_freeze_needs_large_c(self):
-        with pytest.raises(ConfigValidationError) as err:
-            SimConfig(strict_freeze=True)
-        assert err.value.field == "freeze_c"
-        cfg = SimConfig(strict_freeze=True, freeze_c=6.0)
-        assert cfg.freeze_c > cfg.B_minus
 
     def test_window_must_cover_slowest_arrival(self):
         with pytest.raises(ConfigValidationError) as err:
@@ -150,7 +145,7 @@ class TestRoundTrip:
     def test_save_load_identity(self, tmp_path):
         cfg = SimConfig(tau_m=19.5)
         path = tmp_path / "cfg.txt"
-        save_config(cfg, path)
+        path.write_text(config_to_text(cfg))
         assert load_config(path) == cfg
 
 

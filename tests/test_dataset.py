@@ -1,5 +1,7 @@
 """Moving-dots generation, trajectory math and the file format."""
 
+from collections import Counter
+
 import pytest
 
 from delaysnn.config import SimConfig
@@ -62,7 +64,7 @@ class TestGenerateDataset:
 
     def test_direction_balance_exactly_uniform(self):
         ds = generate_dataset(CFG, 7)
-        hist = ds.direction_histogram()
+        hist = Counter(stim.direction for stim in ds.stimuli)
         assert all(hist[d] == 25 for d in DIRECTIONS)
 
     def test_deterministic_in_seed(self):
