@@ -9,9 +9,12 @@ synaptic arrivals (events) to report events per second of
 then measures each ``present_stimulus`` call's ``tracemalloc`` peak, so
 tracing does not perturb the timings. Last, it times one seed's
 training at the default config from a fresh network until every feature
-froze (at most 100 epochs). It writes the medians and quartiles, the
-train-to-freeze time and epoch, the python and numpy versions, the CPUs
-the process may use and a hash of each config, to ``BENCH_<label>.json``.
+froze (at most 100 epochs). It also times the stimulus encoding layer:
+``generate_dataset``, ``write_dataset`` and ``read_dataset`` on every
+seed's default dataset, ``ENCODING_REPEATS`` times each. It writes the
+medians and quartiles, the train-to-freeze time and epoch, the python
+and numpy versions, the CPUs the process may use and a hash of each
+config, to ``BENCH_<label>.json``.
 
 Run from the repository root:
 
@@ -30,6 +33,7 @@ import json
 import os
 import platform
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 from time import perf_counter
@@ -38,7 +42,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from delaysnn.config import SimConfig, config_to_text
-from delaysnn.dataset import generate_dataset
+from delaysnn.dataset import generate_dataset, read_dataset, write_dataset
 from delaysnn.network import (
     FEATURE_COUNT,
     KERNEL_SIZE,
@@ -68,6 +72,8 @@ EPOCHS = 2
 # Train-to-freeze: one seed at the default config, capped like the CLI.
 FREEZE_SEED = 0
 FREEZE_MAX_EPOCHS = 100
+# Timed passes of generate, write and read per seed.
+ENCODING_REPEATS = 5
 
 
 def _quartiles(values: list) -> dict:
@@ -164,6 +170,27 @@ def train_to_freeze() -> dict:
     }
 
 
+def encoding() -> dict:
+    """Times of generating, writing and reading each seed's dataset."""
+    times: dict = {"generate_ms": [], "write_ms": [], "read_ms": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dots.mdots"
+        for _ in range(ENCODING_REPEATS):
+            for seed in SEEDS:
+                cfg = SimConfig(rng_seed=seed)
+                t0 = perf_counter()
+                ds = generate_dataset(cfg, seed)
+                t1 = perf_counter()
+                write_dataset(ds, path)
+                t2 = perf_counter()
+                read_dataset(path)
+                t3 = perf_counter()
+                times["generate_ms"].append((t1 - t0) * 1e3)
+                times["write_ms"].append((t2 - t1) * 1e3)
+                times["read_ms"].append((t3 - t2) * 1e3)
+    return {name: _quartiles(values) for name, values in times.items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
@@ -187,6 +214,11 @@ def main(argv=None) -> int:
               f"finish {stats['finish_ms']['median']:.2f} ms, "
               f"present peak {stats['present_peak_kib']['median']:.0f} KiB (medians), "
               f"{stats['events_per_s']:.0f} events/s", file=sys.stderr)
+    result["encoding"] = enc = encoding()
+    print("encoding: " + ", ".join(
+        f"{name.removesuffix('_ms')} {stats['median']:.2f} ms "
+        f"[{stats['q1']:.2f}, {stats['q3']:.2f}]" for name, stats in enc.items()
+    ) + " (median [q1, q3])", file=sys.stderr)
     result["train_to_freeze"] = freeze = train_to_freeze()
     print(f"train to freeze, seed {FREEZE_SEED}: {freeze['wall_s']:.2f} s, "
           f"freeze epoch {freeze['freeze_epoch']}", file=sys.stderr)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -101,7 +102,7 @@ class ConvergenceScenario:
 
     @property
     def premise_met(self) -> bool:
-        return self.rule.B_minus <= self.rule.sigma_minus
+        return premises(self.rule)["contraction"]["holds"]
 
 
 @dataclass
@@ -154,6 +155,7 @@ def run_convergence_suite(scenario: ConvergenceScenario) -> ConvergenceReport:
     """
     sc = scenario
     rule = sc.rule
+    premise_met = sc.premise_met
     slack = _fp_slack(sc)
     arrivals = [float(t) + float(d) for t, d in zip(sc.pre_times, sc.initial_delays)]
 
@@ -164,12 +166,14 @@ def run_convergence_suite(scenario: ConvergenceScenario) -> ConvergenceReport:
         raise ValueError("post_time excludes every arrival; nothing drives the neuron")
     last = max(contributing, key=lambda i: arrivals[i])
 
+    # The contributing arrivals, as a tuple even when there is one.
+    contributing_arrivals = operator.itemgetter(*contributing, last)
     post = arrivals[last]
     rows = [arrivals]
     firing_times = [post]
     for _ in range(sc.repetitions):
         arrivals = [a + plasticity.delay_delta_d(post - a, rule) for a in arrivals]
-        post = max(arrivals[i] for i in contributing)
+        post = max(contributing_arrivals(arrivals))
         rows.append(arrivals)
         firing_times.append(post)
 
@@ -190,7 +194,7 @@ def run_convergence_suite(scenario: ConvergenceScenario) -> ConvergenceReport:
     max_final = float(early[-1].max())
     # Only a failure if the recurrence oracle says the run was long
     # enough for every contributing lag to reach tolerance.
-    converged_ok = sc.premise_met and (
+    converged_ok = premise_met and (
         None not in convergence_rep.values()
         or sc.repetitions < max(
             iterations_to_tolerance(initial_lags[i], rule.B_minus, rule.sigma_minus)
@@ -199,7 +203,7 @@ def run_convergence_suite(scenario: ConvergenceScenario) -> ConvergenceReport:
     )
 
     def verdict(ok: bool, detail: str) -> CheckResult:
-        if not sc.premise_met:
+        if not premise_met:
             return CheckResult(SKIP, "premise 0 < B- <= sigma- unmet")
         return CheckResult(PASS if ok else FAIL, detail)
 
@@ -220,7 +224,7 @@ def run_convergence_suite(scenario: ConvergenceScenario) -> ConvergenceReport:
         )
 
     return ConvergenceReport(
-        premise_met=sc.premise_met,
+        premise_met=premise_met,
         contributing=contributing,
         noncontributing=noncontributing,
         initial_lags=initial_lags,

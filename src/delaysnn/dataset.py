@@ -116,17 +116,16 @@ def _emit_spikes(trajectories, grid) -> list:
     """Round positions to cells and merge coincident (x, y, t) samples.
 
     A merged sample is coherent if any contributing dot was coherent.
+    Spikes come out ordered by (t, y, x).
     """
     w, h = grid
     merged: dict = {}
     for positions, coherent in trajectories:
         for t, (px, py) in enumerate(positions):
-            cell = (int(round(px)) % w, int(round(py)) % h, t)
+            cell = (t, round(py) % h, round(px) % w)
             merged[cell] = merged.get(cell, False) or coherent
-    return [
-        Spike(x=x, y=y, t=t, coherent=coh)
-        for (x, y, t), coh in sorted(merged.items(), key=lambda kv: (kv[0][2], kv[0][1], kv[0][0]))
-    ]
+    make = Spike._make
+    return [make((x, y, t, merged[t, y, x])) for t, y, x in sorted(merged)]
 
 
 def build_stimulus(rng, stim_id: int, direction: int, grid) -> tuple:
@@ -150,7 +149,7 @@ def build_stimulus(rng, stim_id: int, direction: int, grid) -> tuple:
                   direction="random",
                   speed=float(rng.uniform(*RANDOM_SPEED_RANGE)))
         dots.append(dot)
-        headings = rng.uniform(0.0, 2.0 * math.pi, size=FRAMES - 1)
+        headings = rng.uniform(0.0, 2.0 * math.pi, size=FRAMES - 1).tolist()
         trajectories.append(
             (_random_trajectory(dot.start, dot.speed, headings, grid), False)
         )
@@ -190,22 +189,61 @@ def write_dataset(ds: Dataset, path: str | Path) -> None:
     lines = [f"mdots v1 grid={ds.grid_height}x{ds.grid_width} stimuli={len(ds.stimuli)}"]
     for stim in ds.stimuli:
         lines.append(f"S {stim.id} dir={stim.direction}")
-        for sp in stim.spikes:
-            lines.append(f"{sp.x} {sp.y} {sp.t} {1 if sp.coherent else 0}")
+        lines.extend([f"{x} {y} {t} {1 if coh else 0}" for x, y, t, coh in stim.spikes])
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _first_non_decimal_line(text: str) -> int | None:
+    """Number of the first line holding a character that ``int()`` reads
+    but the file grammar forbids (non-ASCII digits, ``_``, ``+``); None
+    when there is none. Scans the whole text once in the common case."""
+    if text.isascii() and "_" not in text and "+" not in text:
+        return None
+    for line_no, line in enumerate(text.splitlines(keepends=True), start=1):
+        if not line.isascii() or "_" in line or "+" in line:
+            return line_no
+    return None
+
+
+def _non_decimal_error(lines: list, line_no: int) -> DatasetFormatError:
+    line = lines[line_no - 1].strip()
+    return DatasetFormatError(
+        line_no, f"numbers must be ASCII decimal integers (no '+' or '_'), got {line!r}"
+    )
+
+
+def _spike_line_fault(parts: list, stripped: str, grid_h: int, grid_w: int) -> str:
+    """Why a line inside a stimulus, which ``read_dataset``'s fast path
+    refused, is not a valid spike line."""
+    if len(parts) != 4:
+        return f"expected 'x y t coherent', got {stripped!r}"
+    try:
+        x, y, t, coh = map(int, parts)
+    except ValueError:
+        return f"non-integer spike field in {stripped!r}"
+    if coh not in (0, 1):
+        return f"coherent flag must be 0 or 1, got {coh}"
+    if not (0 <= x < grid_w and 0 <= y < grid_h):
+        return f"spike at x={x}, y={y} lies outside the {grid_h}x{grid_w} grid"
+    return f"spike time must be in [0, {FRAMES - 1}], got {t}"
 
 
 def read_dataset(path: str | Path) -> Dataset:
     """Parse a dataset file; an empty file is a valid empty dataset.
 
-    Spikes must lie on the declared grid and within the frame range, and
-    every stimulus direction must be one of :data:`DIRECTIONS`.
+    Every number is an ASCII decimal integer; blank lines and whitespace
+    around a line are ignored. Spikes must lie on the declared grid and
+    within the frame range, and every stimulus direction must be one of
+    :data:`DIRECTIONS`.
     """
     text = Path(path).read_text()
     if not text.strip():
         return Dataset(grid_height=0, grid_width=0, stimuli=[])
 
     lines = text.splitlines()
+    bad_line = _first_non_decimal_line(text)
+    if bad_line == 1:
+        raise _non_decimal_error(lines, bad_line)
     header = _HEADER_RE.match(lines[0].strip())
     if header is None:
         raise DatasetFormatError(1, f"bad header {lines[0]!r}")
@@ -213,40 +251,46 @@ def read_dataset(path: str | Path) -> Dataset:
     declared = int(header.group(3))
 
     stimuli: list = []
-    current: Stimulus | None = None
-    for line_no, line in enumerate(lines[1:], start=2):
+    spikes: list | None = None  # the current stimulus's spike list
+    make = Spike._make
+    # The lines before a non-decimal one are read first, so an earlier
+    # fault is still the one reported.
+    body = lines[1:bad_line - 1] if bad_line else lines[1:]
+    known: dict = {}  # valid spike line text -> its (immutable) Spike
+    for line_no, line in enumerate(body, start=2):
+        # Fast path: a valid spike line inside a stimulus. The grid holds
+        # few distinct spikes, so most lines are a dictionary hit.
+        spike = known.get(line)
+        if spike is None:
+            try:
+                x, y, t, coh = map(int, line.split())
+            except ValueError:
+                pass
+            else:
+                if 0 <= x < grid_w and 0 <= y < grid_h and 0 <= t < FRAMES and 0 <= coh <= 1:
+                    spike = known[line] = make((x, y, t, coh == 1))
+        if spike is not None and spikes is not None:
+            spikes.append(spike)
+            continue
+        parts = line.split()
+        if not parts:
+            continue
         stripped = line.strip()
-        if not stripped:
-            continue
-        stim_match = _STIM_RE.match(stripped)
-        if stim_match:
-            direction = int(stim_match.group(2))
-            if direction not in DIRECTIONS:
-                raise DatasetFormatError(
-                    line_no, f"direction must be one of {DIRECTIONS}, got {direction}"
-                )
-            current = Stimulus(id=int(stim_match.group(1)), direction=direction, spikes=[])
-            stimuli.append(current)
-            continue
-        if current is None:
-            raise DatasetFormatError(line_no, f"spike line before any stimulus: {stripped!r}")
-        parts = stripped.split()
-        if len(parts) != 4:
-            raise DatasetFormatError(line_no, f"expected 'x y t coherent', got {stripped!r}")
-        try:
-            x, y, t, coh = map(int, parts)
-        except ValueError:
-            raise DatasetFormatError(line_no, f"non-integer spike field in {stripped!r}") from None
-        if coh not in (0, 1):
-            raise DatasetFormatError(line_no, f"coherent flag must be 0 or 1, got {coh}")
-        if not (0 <= x < grid_w and 0 <= y < grid_h):
+        stim_match = _STIM_RE.match(stripped) if parts[0] == "S" else None
+        if stim_match is None:
+            if spikes is None:
+                raise DatasetFormatError(line_no, f"spike line before any stimulus: {stripped!r}")
+            raise DatasetFormatError(line_no, _spike_line_fault(parts, stripped, grid_h, grid_w))
+        direction = int(stim_match.group(2))
+        if direction not in DIRECTIONS:
             raise DatasetFormatError(
-                line_no, f"spike at x={x}, y={y} lies outside the {grid_h}x{grid_w} grid"
+                line_no, f"direction must be one of {DIRECTIONS}, got {direction}"
             )
-        if not 0 <= t < FRAMES:
-            raise DatasetFormatError(line_no, f"spike time must be in [0, {FRAMES - 1}], got {t}")
-        current.spikes.append(Spike(x=x, y=y, t=t, coherent=bool(coh)))
+        spikes = []
+        stimuli.append(Stimulus(id=int(stim_match.group(1)), direction=direction, spikes=spikes))
 
+    if bad_line:
+        raise _non_decimal_error(lines, bad_line)
     if len(stimuli) != declared:
         raise DatasetFormatError(
             len(lines), f"header declares {declared} stimuli, found {len(stimuli)}"

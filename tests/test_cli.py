@@ -171,7 +171,8 @@ class TestTrainCommand:
         ("S 0 dir=7\n0 0 0 1", 2),
         ("S 0 dir=45\n99 -3 3 1", 3),
         ("S 0 dir=45\n0 0 5 1", 3),
-    ], ids=["direction", "cell", "frame"])
+        ("S 0 dir=45\n1_0 2 1 1", 3),
+    ], ids=["direction", "cell", "frame", "non-decimal"])
     def test_out_of_range_dataset_fails(self, tmp_path, capsys, body, line_no):
         data = tmp_path / "bad.mdots"
         data.write_text(f"mdots v1 grid=15x15 stimuli=1\n{body}\n")

@@ -1,5 +1,6 @@
 """Moving-dots generation, trajectory math and the file format."""
 
+import hashlib
 from collections import Counter
 
 import pytest
@@ -19,6 +20,9 @@ from delaysnn.dataset import (
 )
 
 CFG = SimConfig()
+
+# sha256 of the file that write_dataset writes for generate_dataset(SimConfig(), 0).
+SEED0_SHA256 = "3aa334f6a304a51671ddbef6081756911434cd26dc3c0cdf7d750259d5b03ac5"
 
 _STEP = {45: (1, 1), -45: (1, -1), 135: (-1, 1), -135: (-1, -1)}
 
@@ -104,6 +108,35 @@ class TestFileFormat:
         write_dataset(ds, path)
         assert read_dataset(path) == ds
 
+    def test_seed0_file_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "dots.mdots"
+        write_dataset(generate_dataset(SimConfig(rng_seed=0), 0), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == SEED0_SHA256
+
+    @pytest.mark.parametrize("cfg, seed", [
+        (CFG, 17),
+        (SimConfig(grid_height=9, grid_width=13), 5),
+    ], ids=["second-seed", "grid-9x13"])
+    def test_round_trip_identity_on_other_inputs(self, tmp_path, cfg, seed):
+        ds = generate_dataset(cfg, seed)
+        assert (ds.grid_height, ds.grid_width) == (cfg.grid_height, cfg.grid_width)
+        path = tmp_path / "dots.mdots"
+        write_dataset(ds, path)
+        assert read_dataset(path) == ds
+        first = path.read_bytes()
+        write_dataset(read_dataset(path), path)
+        assert path.read_bytes() == first
+
+    def test_blank_lines_and_surrounding_whitespace_accepted(self, tmp_path):
+        path = tmp_path / "spaced"
+        path.write_text("  mdots v1 grid=7x9 stimuli=2 \n\n S 0 dir=45\t\n\t8 6 4 1  \n"
+                        "   \n0 0 0 0\nS 1 dir=-135\n\n")
+        ds = read_dataset(path)
+        assert (ds.grid_height, ds.grid_width) == (7, 9)
+        assert [(s.id, s.direction) for s in ds.stimuli] == [(0, 45), (1, -135)]
+        assert [tuple(sp) for sp in ds.stimuli[0].spikes] == [(8, 6, 4, True), (0, 0, 0, False)]
+        assert ds.stimuli[1].spikes == []
+
     def test_write_is_deterministic(self, tmp_path):
         ds = generate_dataset(CFG, 3)
         p1, p2 = tmp_path / "a", tmp_path / "b"
@@ -152,6 +185,14 @@ class TestFileFormat:
 
     @pytest.mark.parametrize("line, reason", [
         ("S 1 dir=7", "direction"),
+        ("1 1 1 2", "coherent flag must be 0 or 1, got 2"),
+        ("S 0 dir=x", "expected 'x y t coherent'"),
+        ("S 0 dir=45 x", "non-integer spike field"),
+        # int() reads these as 1, 3 and 3; the grammar takes ASCII decimals only.
+        ("0_1 4 0 1", "ASCII decimal"),
+        ("+3 4 0 0", "ASCII decimal"),
+        ("\u0663 4 0 1", "ASCII decimal"),
+        ("S \u0663 dir=45", "ASCII decimal"),
         ("9 0 0 1", "outside"),
         ("0 7 0 1", "outside"),
         ("-1 0 0 1", "outside"),
@@ -164,7 +205,25 @@ class TestFileFormat:
         # spike sits at the far corner and the last frame, so only the bad
         # field is out of range.
         path = tmp_path / "bad"
-        path.write_text(f"mdots v1 grid=7x9 stimuli=1\nS 0 dir=45\n8 6 4 1\n{line}\n")
+        path.write_text(f"mdots v1 grid=7x9 stimuli=1\nS 0 dir=45\n8 6 4 1\n{line}\n",
+                        encoding="utf-8")
         with pytest.raises(DatasetFormatError, match=reason) as err:
             read_dataset(path)
         assert err.value.line_no == 4
+
+    @pytest.mark.parametrize("number", ["1_5", "+15", "\u0661\u0665"],
+                             ids=["underscore", "plus", "arabic-indic"])
+    def test_non_decimal_header_reports_line_one(self, tmp_path, number):
+        path = tmp_path / "bad"
+        path.write_text(f"mdots v1 grid={number}x15 stimuli=1\nS 0 dir=45\n1 2 1 1\n",
+                        encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match="ASCII decimal") as err:
+            read_dataset(path)
+        assert err.value.line_no == 1
+
+    def test_earlier_fault_beats_a_later_non_decimal_line(self, tmp_path):
+        path = tmp_path / "bad"
+        path.write_text("mdots v1 grid=15x15 stimuli=1\nS 0 dir=45\n1 2 9 1\n+3 4 0 1\n")
+        with pytest.raises(DatasetFormatError, match="spike time") as err:
+            read_dataset(path)
+        assert err.value.line_no == 3
