@@ -11,10 +11,12 @@ tracing does not perturb the timings. Last, it times one seed's
 training at the default config from a fresh network until every feature
 froze (at most 100 epochs). It also times the stimulus encoding layer:
 ``generate_dataset``, ``write_dataset`` and ``read_dataset`` on every
-seed's default dataset, ``ENCODING_REPEATS`` times each. It writes the
-medians and quartiles, the train-to-freeze time and epoch, the python
-and numpy versions, the CPUs the process may use and a hash of each
-config, to ``BENCH_<label>.json``.
+seed's default dataset, ``ENCODING_REPEATS`` times each, and the verify
+layer: ``run_property_checks``, the checks of ``delaysnn verify``'s
+100 random scenarios and the whole ``verify`` command, ``VERIFY_REPEATS``
+times each. It writes the medians and quartiles, the train-to-freeze
+time and epoch, the python and numpy versions, the CPUs the process may
+use and a hash of each config, to ``BENCH_<label>.json``.
 
 Run from the repository root:
 
@@ -28,7 +30,9 @@ the same file times older and newer engines alike.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -41,7 +45,8 @@ from time import perf_counter
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from delaysnn.config import SimConfig, config_to_text
+from delaysnn import analysis, cli
+from delaysnn.config import STREAM_VERIFY, RngStream, SimConfig, config_to_text
 from delaysnn.dataset import generate_dataset, read_dataset, write_dataset
 from delaysnn.network import (
     FEATURE_COUNT,
@@ -74,6 +79,10 @@ FREEZE_SEED = 0
 FREEZE_MAX_EPOCHS = 100
 # Timed passes of generate, write and read per seed.
 ENCODING_REPEATS = 5
+# The verify layer: one seed, as many scenarios as perfbench's verify.
+VERIFY_SEED = 0
+VERIFY_SCENARIOS = 100
+VERIFY_REPEATS = 15
 
 
 def _quartiles(values: list) -> dict:
@@ -191,6 +200,50 @@ def encoding() -> dict:
     return {name: _quartiles(values) for name, values in times.items()}
 
 
+def _check_scenarios(scenarios: list) -> None:
+    """Check every scenario as ``delaysnn verify`` does."""
+    batches = getattr(analysis, "trajectory_batches", None)
+    if batches is None:  # a checkout that checks one scenario at a time
+        for sc in scenarios:
+            analysis.run_convergence_suite(sc)
+        return
+    for batch in batches(scenarios):
+        for sc, trajectory in zip(batch, analysis.convergence_trajectories(batch)):
+            analysis.run_convergence_suite(sc, trajectory=trajectory)
+
+
+def verify_layer() -> dict:
+    """Times of the property checks, the scenario suite and ``verify``."""
+    cfg = SimConfig(rng_seed=VERIFY_SEED)
+    rng = RngStream(VERIFY_SEED, STREAM_VERIFY).generator
+    scenarios = [analysis.random_scenario(rng, with_late=index % 2 == 1)
+                 for index in range(VERIFY_SCENARIOS)]
+    times: dict = {"property_checks_ms": [], "suite_ms": [], "verify_ms": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["verify", "--scenarios", str(VERIFY_SCENARIOS),
+                "--seed", str(VERIFY_SEED), "--out", tmp]
+        for _ in range(VERIFY_REPEATS):
+            t0 = perf_counter()
+            analysis.run_property_checks(VERIFY_SEED, cfg)
+            t1 = perf_counter()
+            _check_scenarios(scenarios)
+            t2 = perf_counter()
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(argv)
+            t3 = perf_counter()
+            times["property_checks_ms"].append((t1 - t0) * 1e3)
+            times["suite_ms"].append((t2 - t1) * 1e3)
+            times["verify_ms"].append((t3 - t2) * 1e3)
+    return {name: _quartiles(values) for name, values in times.items()}
+
+
+def _print_layer(name: str, stats: dict) -> None:
+    print(f"{name}: " + ", ".join(
+        f"{key.removesuffix('_ms')} {value['median']:.2f} ms "
+        f"[{value['q1']:.2f}, {value['q3']:.2f}]" for key, value in stats.items()
+    ) + " (median [q1, q3])", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
@@ -214,11 +267,10 @@ def main(argv=None) -> int:
               f"finish {stats['finish_ms']['median']:.2f} ms, "
               f"present peak {stats['present_peak_kib']['median']:.0f} KiB (medians), "
               f"{stats['events_per_s']:.0f} events/s", file=sys.stderr)
-    result["encoding"] = enc = encoding()
-    print("encoding: " + ", ".join(
-        f"{name.removesuffix('_ms')} {stats['median']:.2f} ms "
-        f"[{stats['q1']:.2f}, {stats['q3']:.2f}]" for name, stats in enc.items()
-    ) + " (median [q1, q3])", file=sys.stderr)
+    result["encoding"] = encoding()
+    _print_layer("encoding", result["encoding"])
+    result["verify"] = verify_layer()
+    _print_layer("verify", result["verify"])
     result["train_to_freeze"] = freeze = train_to_freeze()
     print(f"train to freeze, seed {FREEZE_SEED}: {freeze['wall_s']:.2f} s, "
           f"freeze epoch {freeze['freeze_epoch']}", file=sys.stderr)

@@ -7,12 +7,13 @@ fixed repeating pattern, is a fixed-point iteration on each synapse's lag
 
 which for 0 < B_minus <= sigma_minus keeps every lag in [0, lag] and
 drives it to 0: the neuron ends up receiving all contributing spikes
-simultaneously. :func:`run_convergence_suite` repeats that single-neuron
-setting in arrival space, moving every arrival by the network's own rule
-:func:`plasticity.delay_delta_d`, and checks the predicted properties on
-the recorded trajectory; :func:`lag_fixed_point_step` is the recurrence
-itself, written independently of the rule and used as the prediction
-oracle.
+simultaneously. :func:`convergence_trajectories` repeats that
+single-neuron setting in arrival space for a batch of scenarios at once,
+moving every arrival by the network's own rule
+:func:`plasticity.delay_delta_d`; :func:`run_convergence_suite` checks the
+predicted properties on one scenario's recorded trajectory.
+:func:`lag_fixed_point_step` is the recurrence itself, written
+independently of the rule and used as the prediction oracle.
 
 Also here: the premise report every run records in its manifest,
 direction-selectivity measurement over a dataset and feature snapshot
@@ -24,9 +25,9 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -37,6 +38,9 @@ from . import plasticity
 
 CONVERGENCE_TOL = 1e-3
 SHIFT_TOL = 1e-9
+# Byte budget of one batch of convergence trajectories (see
+# :func:`trajectory_batches`): about 25 random scenarios of 500 repetitions.
+TRAJECTORY_BYTES = 512 * 1024
 
 PASS = "pass"
 FAIL = "fail"
@@ -138,9 +142,92 @@ def _fp_slack(scenario: ConvergenceScenario) -> float:
     return 64.0 * np.finfo(float).eps * scale
 
 
-def run_convergence_suite(scenario: ConvergenceScenario) -> ConvergenceReport:
-    """Repeat the pattern under :func:`plasticity.delay_delta_d` and check
-    the predicted properties on the recorded trajectory.
+def _initial_arrivals(sc: ConvergenceScenario):
+    """Arrival times before any repetition, the contributing and the
+    non-contributing arrivals' indices, and the initially-last arrival."""
+    arrivals = [float(t) + float(d) for t, d in zip(sc.pre_times, sc.initial_delays)]
+    first_post = max(arrivals) if sc.post_time is None else float(sc.post_time)
+    contributing = [i for i, a in enumerate(arrivals) if a <= first_post]
+    noncontributing = [i for i, a in enumerate(arrivals) if a > first_post]
+    if not contributing:
+        raise ValueError("post_time excludes every arrival; nothing drives the neuron")
+    last = max(contributing, key=lambda i: arrivals[i])
+    return arrivals, contributing, noncontributing, last
+
+
+def convergence_trajectories(scenarios) -> list:
+    """Repeat every scenario's pattern under :func:`plasticity.delay_delta_d`,
+    all scenarios of the batch at once.
+
+    Returns one ``(firing_times, rows)`` pair per scenario: its firing
+    time and its arrival times (``rows[k, i]``) after each of ``k = 0 ..
+    repetitions`` repetitions. The batch holds every arrival in one array
+    with its scenario's rule parameters beside it. Each repetition moves
+    every arrival by the rule at its lag to its own scenario's firing
+    time, then takes each scenario's new firing time as the latest of its
+    contributing arrivals. Scenarios are independent, so a scenario's
+    pair is the same in any batch.
+    """
+    scenarios = list(scenarios)
+    # Per scenario: the column of its first arrival, and where its
+    # contributing arrivals start in ``gather``.
+    first, starts, owner, gather, initial = [], [], [], [], []
+    for s, sc in enumerate(scenarios):
+        arrivals, contributing, _, _ = _initial_arrivals(sc)
+        first.append(len(initial))
+        starts.append(len(gather))
+        gather += [first[s] + i for i in contributing]
+        owner += [s] * len(arrivals)
+        initial += arrivals
+    owner, gather, starts = np.array(owner), np.array(gather), np.array(starts)
+    rule = SimpleNamespace(**{
+        name: np.array([getattr(sc.rule, name) for sc in scenarios])[owner]
+        for name in ("B_minus", "B_plus", "sigma_minus", "sigma_plus")
+    })
+
+    arrivals = np.array(initial)
+    rows = np.empty((max(sc.repetitions for sc in scenarios) + 1, arrivals.size))
+    posts = np.empty((rows.shape[0], len(scenarios)))
+    rows[0] = arrivals
+    post = np.maximum.reduceat(arrivals[gather], starts, out=posts[0])
+    for k in range(1, rows.shape[0]):
+        delta = plasticity.delay_delta_d(post[owner] - arrivals, rule)
+        arrivals = np.add(arrivals, delta, out=rows[k])
+        post = np.maximum.reduceat(arrivals[gather], starts, out=posts[k])
+    return [
+        (posts[:sc.repetitions + 1, s],
+         rows[:sc.repetitions + 1, first[s]:first[s] + len(sc.pre_times)])
+        for s, sc in enumerate(scenarios)
+    ]
+
+
+def trajectory_batches(scenarios):
+    """Group ``scenarios`` into lists whose row buffer, the arrival times
+    after every repetition, fits in :data:`TRAJECTORY_BYTES`.
+
+    Draws lazily, so memory stays flat however many scenarios there are; a
+    scenario larger than the budget gets a batch of its own.
+    """
+    batch, reps, columns = [], 0, 0
+    for sc in scenarios:
+        grown = (max(reps, sc.repetitions), columns + len(sc.pre_times))
+        if batch and 8 * (grown[0] + 1) * grown[1] > TRAJECTORY_BYTES:
+            yield batch
+            batch, grown = [], (sc.repetitions, len(sc.pre_times))
+        batch.append(sc)
+        reps, columns = grown
+    if batch:
+        yield batch
+
+
+def run_convergence_suite(scenario: ConvergenceScenario, *,
+                          trajectory=None) -> ConvergenceReport:
+    """Check the predicted properties on the scenario's trajectory under
+    :func:`plasticity.delay_delta_d`.
+
+    ``trajectory`` is the scenario's pair from
+    :func:`convergence_trajectories`; without it the suite runs the
+    scenario as a batch of one.
 
     Checked over every repetition:
       a. contributing lags never leave [0, inf)
@@ -157,40 +244,26 @@ def run_convergence_suite(scenario: ConvergenceScenario) -> ConvergenceReport:
     rule = sc.rule
     premise_met = sc.premise_met
     slack = _fp_slack(sc)
-    arrivals = [float(t) + float(d) for t, d in zip(sc.pre_times, sc.initial_delays)]
-
-    first_post = max(arrivals) if sc.post_time is None else float(sc.post_time)
-    contributing = [i for i, a in enumerate(arrivals) if a <= first_post]
-    noncontributing = [i for i, a in enumerate(arrivals) if a > first_post]
-    if not contributing:
-        raise ValueError("post_time excludes every arrival; nothing drives the neuron")
-    last = max(contributing, key=lambda i: arrivals[i])
-
-    # The contributing arrivals, as a tuple even when there is one.
-    contributing_arrivals = operator.itemgetter(*contributing, last)
-    post = arrivals[last]
-    rows = [arrivals]
-    firing_times = [post]
-    for _ in range(sc.repetitions):
-        arrivals = [a + plasticity.delay_delta_d(post - a, rule) for a in arrivals]
-        post = max(contributing_arrivals(arrivals))
-        rows.append(arrivals)
-        firing_times.append(post)
+    _, contributing, noncontributing, last = _initial_arrivals(sc)
+    if trajectory is None:
+        [trajectory] = convergence_trajectories([sc])
+    firing, rows = trajectory
 
     # lags[k, i]: firing time minus arrival i after k repetitions.
-    lags = np.array(firing_times)[:, None] - np.array(rows)
+    lags = firing[:, None] - rows
     initial_lags = dict(enumerate(lags[0].tolist()))
     final_lags = dict(enumerate(lags[-1].tolist()))
     early = lags[:, contributing]
     below = early < CONVERGENCE_TOL
+    reached = below.any(axis=0).tolist()
+    first_below = below.argmax(axis=0).tolist()
     convergence_rep = {
-        i: int(below[:, j].argmax()) if below[:, j].any() else None
-        for j, i in enumerate(contributing)
+        i: first_below[j] if reached[j] else None for j, i in enumerate(contributing)
     }
     dip = max(0.0, float(-early[1:].min()))
     rise = max(0.0, float(np.diff(early, axis=0).max()))
     last_err = float(np.abs(lags[1:, last]).max())
-    shift_err = float(np.abs(np.diff(firing_times) + rule.B_minus).max())
+    shift_err = float(np.abs(np.diff(firing) + rule.B_minus).max())
     max_final = float(early[-1].max())
     # Only a failure if the recurrence oracle says the run was long
     # enough for every contributing lag to reach tolerance.
@@ -229,7 +302,7 @@ def run_convergence_suite(scenario: ConvergenceScenario) -> ConvergenceReport:
         noncontributing=noncontributing,
         initial_lags=initial_lags,
         final_lags=final_lags,
-        firing_times=firing_times,
+        firing_times=firing.tolist(),
         convergence_rep=convergence_rep,
         checks=checks,
     )
@@ -440,9 +513,7 @@ def run_property_checks(seed: int, cfg: SimConfig, samples: int = 10_000) -> lis
         rng.uniform(-50.0, 50.0, size=samples // 2),
         rng.uniform(-near, near, size=samples - samples // 2),
     ])
-    products = np.array([
-        plasticity.stdp_delta_w(l, cfg) * plasticity.delay_delta_d(l, cfg) for l in lags
-    ])
+    products = plasticity.stdp_delta_w(lags, cfg) * plasticity.delay_delta_d(lags, cfg)
     ok = bool((products <= 0).all())
     rows.append((
         "weight_and_delay_updates_oppose",
@@ -454,15 +525,15 @@ def run_property_checks(seed: int, cfg: SimConfig, samples: int = 10_000) -> lis
         rng.uniform(0.0, 50.0, size=samples // 2),
         rng.uniform(0.0, near, size=samples - samples // 2),
     ]))
-    dw_pos = np.array([plasticity.stdp_delta_w(l, cfg) for l in grid_pos])
-    dd_pos = np.array([plasticity.delay_delta_d(l, cfg) for l in grid_pos])
+    dw_pos = plasticity.stdp_delta_w(grid_pos, cfg)
+    dd_pos = plasticity.delay_delta_d(grid_pos, cfg)
     grid_neg = np.sort(np.concatenate([
         rng.uniform(-50.0, 0.0, size=samples // 2),
         rng.uniform(-near, 0.0, size=samples - samples // 2),
     ]))
     grid_neg = grid_neg[grid_neg < 0]
-    dw_neg = np.array([plasticity.stdp_delta_w(l, cfg) for l in grid_neg])
-    dd_neg = np.array([plasticity.delay_delta_d(l, cfg) for l in grid_neg])
+    dw_neg = plasticity.stdp_delta_w(grid_neg, cfg)
+    dd_neg = plasticity.delay_delta_d(grid_neg, cfg)
     # Ascending lag: weight updates fall on both branches; delay-update
     # magnitude falls on the causal branch and rises toward zero lag on
     # the late branch (i.e. decays away from zero on each side).
@@ -482,8 +553,7 @@ def run_property_checks(seed: int, cfg: SimConfig, samples: int = 10_000) -> lis
     delays = rng.uniform(0.5, 60.0, size=(FEATURE_COUNT, KERNEL_SIZE, KERNEL_SIZE))
     for _ in range(200):
         k_factor = float(rng.uniform(-2.0, 2.0))
-        for f in range(FEATURE_COUNT):
-            plasticity.apply_homeostasis(weights[f], delays[f], k_factor, cfg)
+        plasticity.apply_homeostasis(weights, delays, k_factor, cfg)
         plasticity.apply_growth(delays, cfg.growth_factor)
     ok = (
         bool((weights >= cfg.w_min).all())

@@ -127,12 +127,16 @@ def cmd_verify(args) -> int:
     rows = list(analysis.run_property_checks(cfg.rng_seed, cfg))
 
     rng = RngStream(cfg.rng_seed, STREAM_VERIFY).generator
+    scenarios = (analysis.random_scenario(rng, with_late=index % 2 == 1)
+                 for index in range(args.scenarios))
     tallies: dict = {}
-    for index in range(args.scenarios):
-        scenario = analysis.random_scenario(rng, with_late=index % 2 == 1)
-        report = analysis.run_convergence_suite(scenario)
-        for name, result in report.checks.items():
-            tallies.setdefault(name, []).append(result.status)
+    for batch in analysis.trajectory_batches(scenarios):
+        for scenario, trajectory in zip(batch, analysis.convergence_trajectories(batch)):
+            report = analysis.run_convergence_suite(scenario, trajectory=trajectory)
+            for name, result in report.checks.items():
+                tallies.setdefault(name, []).append(result.status)
+        # Free this batch's buffers before the next one is built.
+        del trajectory
     for name, statuses in sorted(tallies.items()):
         failed = statuses.count(analysis.FAIL)
         status = analysis.FAIL if failed else analysis.PASS

@@ -40,26 +40,42 @@ class PlasticityReport:
     pair_count: int = 0
 
 
-def stdp_delta_w(delta_t: float, cfg: SimConfig) -> float:
-    """Weight change for one pre/post pair.
+def _two_branch(delta_t, causal_coef, causal_tau, late_coef, late_tau):
+    """``causal_coef * exp(-delta_t / causal_tau)`` where ``delta_t >= 0``,
+    else ``late_coef * exp(delta_t / late_tau)``, element by element.
+
+    Each element's exponent, ``-|delta_t|`` over its branch's time
+    constant, is picked first, so ``exp`` never sees a positive argument.
+    ``exp`` itself is the scalar ``math.exp``: numpy's vectorised ``exp``
+    may differ in the last bit, and by CPU. Parameters may be arrays that
+    broadcast against ``delta_t``. A scalar in gives a float out.
+    """
+    lag = np.asarray(delta_t, dtype=float)
+    causal = lag >= 0
+    arg = np.copysign(lag, -1.0) / np.where(causal, causal_tau, late_tau)
+    exp = np.fromiter(map(math.exp, arg.ravel().tolist()), float, arg.size)
+    out = np.where(causal, causal_coef, late_coef) * exp.reshape(arg.shape)
+    return out if out.ndim else float(out)
+
+
+def stdp_delta_w(delta_t, cfg: SimConfig):
+    """Weight change per pre/post pair.
 
     +A_plus * exp(-delta_t/tau_plus) when the arrival preceded the firing
     (delta_t >= 0), else -A_minus * exp(delta_t/tau_minus).
     """
-    if delta_t >= 0:
-        return cfg.A_plus * math.exp(-delta_t / cfg.tau_plus)
-    return -cfg.A_minus * math.exp(delta_t / cfg.tau_minus)
+    return _two_branch(delta_t, cfg.A_plus, cfg.tau_plus, -cfg.A_minus, cfg.tau_minus)
 
 
-def delay_delta_d(delta_t: float, cfg: SimConfig) -> float:
-    """Delay change for one pre/post pair; mirror-signed to the weight rule.
+def delay_delta_d(delta_t, cfg: SimConfig):
+    """Delay change per pre/post pair; mirror-signed to the weight rule.
 
     -B_minus * exp(-delta_t/sigma_minus) for causal arrivals (delta_t >= 0),
     +B_plus * exp(delta_t/sigma_plus) for arrivals after the firing.
+    ``cfg`` may be any object with those four attributes, arrays included:
+    the convergence harness passes one parameter set per arrival.
     """
-    if delta_t >= 0:
-        return -cfg.B_minus * math.exp(-delta_t / cfg.sigma_minus)
-    return cfg.B_plus * math.exp(delta_t / cfg.sigma_plus)
+    return _two_branch(delta_t, -cfg.B_minus, cfg.sigma_minus, cfg.B_plus, cfg.sigma_plus)
 
 
 def apply_pair_updates(record, weights, delays, frozen, cfg: SimConfig) -> PlasticityReport:
@@ -96,11 +112,10 @@ def apply_pair_updates(record, weights, delays, frozen, cfg: SimConfig) -> Plast
         lags = t_post[:, None, None] - sliding_window_view(times, (k, k))[y, x] - delays[f]
         n, ky, kx = np.nonzero(np.isfinite(lags))
         cells = (f[n], ky, kx)
-        # The rules stay scalar: a vectorised exp may differ in the last
-        # bit. ``np.add.at`` sums in (firing, ky, kx) order.
-        pair_lags = lags[n, ky, kx].tolist()
-        np.add.at(dw_sum, cells, [stdp_delta_w(lag, cfg) for lag in pair_lags])
-        np.add.at(dd_sum, cells, [delay_delta_d(lag, cfg) for lag in pair_lags])
+        # ``np.add.at`` sums in (firing, ky, kx) order.
+        pair_lags = lags[n, ky, kx]
+        np.add.at(dw_sum, cells, stdp_delta_w(pair_lags, cfg))
+        np.add.at(dd_sum, cells, delay_delta_d(pair_lags, cfg))
         np.add.at(counts, cells, 1)
 
     touched = counts > 0

@@ -6,12 +6,16 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delaysnn.analysis import (
     FAIL,
     PASS,
     SKIP,
+    TRAJECTORY_BYTES,
     ConvergenceScenario,
+    convergence_trajectories,
     export_snapshot,
     iterations_to_tolerance,
     lag_fixed_point_step,
@@ -20,6 +24,7 @@ from delaysnn.analysis import (
     random_scenario,
     run_convergence_suite,
     run_property_checks,
+    trajectory_batches,
 )
 from delaysnn import plasticity
 from delaysnn.cli import main
@@ -75,7 +80,8 @@ RULE = SimConfig(B_minus=0.5, B_plus=0.5, sigma_minus=2.0, sigma_plus=2.0)
 def _reference_suite(sc):
     """Independent scalar rerun of a scenario: the suite's trajectory and
     check statuses from running per-repetition maxima, with the delay rule
-    written out inline instead of called."""
+    written out inline instead of called. ``rows[k]`` lists the arrival
+    times after ``k`` repetitions."""
     b_minus, b_plus = sc.rule.B_minus, sc.rule.B_plus
     s_minus, s_plus = sc.rule.sigma_minus, sc.rule.sigma_plus
     slack = 64.0 * np.finfo(float).eps * max(
@@ -89,6 +95,7 @@ def _reference_suite(sc):
     initial_lags = {i: post - a for i, a in enumerate(arrivals)}
     rep_of = {i: (0 if initial_lags[i] < 1e-3 else None) for i in contributing}
     firing_times = [post]
+    rows = [arrivals]
     dip = last_err = shift = rise = late_err = 0.0
     late_step = -math.inf
     for rep in range(1, sc.repetitions + 1):
@@ -110,6 +117,7 @@ def _reference_suite(sc):
             late_step = max(late_step, step)
         post = new_post
         firing_times.append(post)
+        rows.append(arrivals)
     final_lags = {i: post - a for i, a in enumerate(arrivals)}
     needed = max(iterations_to_tolerance(initial_lags[i], b_minus, s_minus)
                  for i in contributing)
@@ -123,7 +131,7 @@ def _reference_suite(sc):
     if late:
         oks["late_arrivals_pushed_later"] = late_err <= 1e-9 and late_step < 0
     statuses = {name: PASS if ok else FAIL for name, ok in oks.items()}
-    return firing_times, initial_lags, final_lags, rep_of, statuses
+    return firing_times, initial_lags, final_lags, rep_of, statuses, rows
 
 
 class TestConvergenceSuite:
@@ -202,7 +210,7 @@ class TestConvergenceSuite:
             sc = random_scenario(rng, repetitions=int(rng.integers(1, 300)),
                                  with_late=with_late)
             report = run_convergence_suite(sc)
-            firing_times, initial_lags, final_lags, rep_of, statuses = _reference_suite(sc)
+            firing_times, initial_lags, final_lags, rep_of, statuses, _ = _reference_suite(sc)
             assert report.firing_times == firing_times
             assert report.initial_lags == initial_lags
             assert report.final_lags == final_lags
@@ -216,11 +224,61 @@ class TestConvergenceSuite:
 
         def scaled(delta_t, cfg):
             delta = rule(delta_t, cfg)
-            return 1.01 * delta if delta_t >= 0 else delta
+            return np.where(np.asarray(delta_t) >= 0, 1.01 * delta, delta)
 
         monkeypatch.setattr(plasticity, "delay_delta_d", scaled)
         assert main(["verify", "--scenarios", "10", "--out", str(tmp_path / "v")]) == 1
         assert "FAIL" in capsys.readouterr().out
+
+
+# (stream seed, repetitions, with_late) per scenario of a batch.
+_SCENARIO_LISTS = st.lists(
+    st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 120), st.booleans()),
+    min_size=1, max_size=8,
+)
+
+
+class TestConvergenceTrajectories:
+    @settings(max_examples=60, deadline=None)
+    @given(_SCENARIO_LISTS)
+    def test_batch_slice_equals_lone_run_and_reference(self, specs):
+        # Scenarios of mixed lengths share one batch: each one's slice is
+        # the same bytes as its batch of one and as the scalar rerun.
+        batch = [random_scenario(np.random.default_rng(seed), repetitions=reps,
+                                 with_late=with_late)
+                 for seed, reps, with_late in specs]
+        for sc, (firing, rows) in zip(batch, convergence_trajectories(batch)):
+            [(lone_firing, lone_rows)] = convergence_trajectories([sc])
+            firing_times, *_, reference_rows = _reference_suite(sc)
+            assert firing.shape == (sc.repetitions + 1,)
+            assert rows.shape == (sc.repetitions + 1, len(sc.pre_times))
+            assert firing.tobytes() == lone_firing.tobytes()
+            assert rows.tobytes() == lone_rows.tobytes()
+            assert firing.tobytes() == np.array(firing_times).tobytes()
+            assert rows.tobytes() == np.array(reference_rows).tobytes()
+
+    def test_suite_on_batch_trajectory_equals_lone_suite(self):
+        rng = np.random.default_rng(3)
+        batch = [random_scenario(rng, with_late=index % 2 == 1) for index in range(12)]
+        for sc, trajectory in zip(batch, convergence_trajectories(batch)):
+            assert run_convergence_suite(sc, trajectory=trajectory) == run_convergence_suite(sc)
+
+    def test_batches_respect_byte_budget(self):
+        rng = np.random.default_rng(4)
+        scenarios = [random_scenario(rng, with_late=index % 2 == 1) for index in range(200)]
+        batches = list(trajectory_batches(iter(scenarios)))
+        assert [sc for batch in batches for sc in batch] == scenarios
+        assert len(batches) > 1
+        for batch in batches:
+            rows = max(sc.repetitions for sc in batch) + 1
+            columns = sum(len(sc.pre_times) for sc in batch)
+            assert 8 * rows * columns <= TRAJECTORY_BYTES
+
+    def test_oversized_scenario_gets_its_own_batch(self):
+        rng = np.random.default_rng(5)
+        small = random_scenario(rng, repetitions=10)
+        big = random_scenario(rng, repetitions=TRAJECTORY_BYTES // 8)
+        assert list(trajectory_batches([small, big, small])) == [[small], [big], [small]]
 
 
 # perfbench's train-dense overrides: premise-valid delay rule, dense firing.

@@ -1,6 +1,8 @@
 """Command-line driver: artifacts, manifests, exit codes, determinism."""
 
+import hashlib
 import json
+import tracemalloc
 
 import pytest
 
@@ -231,6 +233,32 @@ class TestVerifyCommand:
                          "--scenarios", "15", "--seed", "8"]) == 0
             texts.append((tmp_path / name / "report.txt").read_text())
         assert texts[0] == texts[1]
+
+    @pytest.mark.parametrize("seed, digest", [
+        ("0", "16b5932d494ab02c431dd94d4c39528a4056542e29349e97e3ab2a75dc547335"),
+        ("1", "bc6e0e5309f6022a1ec45efd7c0b3c8c630dbafd1ddca9bb642633f778086fb2"),
+    ])
+    def test_report_bytes_are_pinned(self, tmp_path, capsys, seed, digest):
+        out = tmp_path / "v"
+        assert main(["verify", "--out", str(out), "--scenarios", "100", "--seed", seed]) == 0
+        assert hashlib.sha256((out / "report.txt").read_bytes()).hexdigest() == digest
+
+    def test_memory_does_not_grow_with_scenarios(self, tmp_path, capsys):
+        # Scenarios are checked a bounded batch at a time: four times as
+        # many may raise the peak of traced allocations by 10% at most.
+        # The first call pays one-off allocations, so it is not measured.
+        main(["verify", "--out", str(tmp_path / "warm"), "--scenarios", "1"])
+        peaks = {}
+        for count in (100, 400):
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            try:
+                assert main(["verify", "--out", str(tmp_path / str(count)),
+                             "--scenarios", str(count)]) == 0
+                peaks[count] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[400] <= 1.1 * peaks[100], peaks
 
     @pytest.mark.parametrize("count", ["0", "-5"])
     def test_non_positive_scenarios_fail(self, tmp_path, capsys, count):

@@ -1,6 +1,7 @@
 """Pair rules, homeostasis, freeze and growth, with closed-form oracles."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -67,6 +68,63 @@ class TestDelayDeltaD:
         rng = np.random.default_rng(2)
         for lag in rng.uniform(-3.0, 3.0, size=2000):
             assert stdp_delta_w(float(lag), cfg) * delay_delta_d(float(lag), cfg) <= 0.0
+
+
+def _scalar_w(lag, cfg):
+    if lag >= 0:
+        return cfg.A_plus * math.exp(-lag / cfg.tau_plus)
+    return -cfg.A_minus * math.exp(lag / cfg.tau_minus)
+
+
+def _scalar_d(lag, cfg):
+    if lag >= 0:
+        return -cfg.B_minus * math.exp(-lag / cfg.sigma_minus)
+    return cfg.B_plus * math.exp(lag / cfg.sigma_plus)
+
+
+class TestArrayRules:
+    """The array rules equal the scalar two-branch formulas bit for bit,
+    signed zeros included (the verify report prints ``-0.000e+00``)."""
+
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-320, -1e-320, 1e-300, -1e-300,
+             1e-4, -1e-4, 1e6, -1e6, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("cfg", [
+        CFG,
+        CFG.replace(A_plus=0.0, A_minus=0.0),
+        CFG.replace(tau_plus=0.7, tau_minus=1.3, sigma_minus=0.5, sigma_plus=2.0,
+                    B_minus=0.3),
+    ], ids=["defaults", "zero-amplitudes", "wide"])
+    def test_bytes_equal_scalar_formula(self, cfg):
+        rng = np.random.default_rng(5)
+        lags = np.concatenate([self.EDGES, rng.uniform(-50.0, 50.0, 4000),
+                               rng.uniform(-1e-3, 1e-3, 4000)])
+        for rule, scalar in ((stdp_delta_w, _scalar_w), (delay_delta_d, _scalar_d)):
+            expected = np.array([scalar(lag, cfg) for lag in lags.tolist()])
+            assert rule(lags, cfg).tobytes() == expected.tobytes()
+            grid = lags[:4000].reshape(40, 100)
+            assert rule(grid, cfg).tobytes() == expected[:4000].tobytes()
+            for lag in self.EDGES:
+                got = rule(lag, cfg)
+                assert type(got) is float
+                assert np.float64(got).tobytes() == np.float64(scalar(lag, cfg)).tobytes()
+
+    def test_zero_amplitude_gives_signed_zero(self):
+        cfg = CFG.replace(A_plus=0.0, A_minus=0.0)
+        assert math.copysign(1.0, stdp_delta_w(-1.0, cfg)) == -1.0
+        assert math.copysign(1.0, stdp_delta_w(1.0, cfg)) == 1.0
+
+    def test_parameters_broadcast_against_lags(self):
+        # One parameter set per element, as the convergence harness passes.
+        rng = np.random.default_rng(6)
+        lags = rng.uniform(-5.0, 5.0, 300)
+        rules = [CFG.replace(B_minus=b, sigma_minus=s, B_plus=p, sigma_plus=q)
+                 for b, s, p, q in rng.uniform(0.1, 3.0, (300, 4)).tolist()]
+        params = {name: np.array([getattr(r, name) for r in rules])
+                  for name in ("B_minus", "B_plus", "sigma_minus", "sigma_plus")}
+        got = delay_delta_d(lags, SimpleNamespace(**params))
+        expected = np.array([_scalar_d(lag, r) for lag, r in zip(lags.tolist(), rules)])
+        assert got.tobytes() == expected.tobytes()
 
 
 def _record(grid=15, input_times=None, firings=None):
