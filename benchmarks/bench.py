@@ -202,12 +202,7 @@ def encoding() -> dict:
 
 def _check_scenarios(scenarios: list) -> None:
     """Check every scenario as ``delaysnn verify`` does."""
-    batches = getattr(analysis, "trajectory_batches", None)
-    if batches is None:  # a checkout that checks one scenario at a time
-        for sc in scenarios:
-            analysis.run_convergence_suite(sc)
-        return
-    for batch in batches(scenarios):
+    for batch in analysis.trajectory_batches(scenarios):
         for sc, trajectory in zip(batch, analysis.convergence_trajectories(batch)):
             analysis.run_convergence_suite(sc, trajectory=trajectory)
 

@@ -383,16 +383,14 @@ class SelectivityMatrix:
 def measure_selectivity(net: Network, ds: Dataset) -> SelectivityMatrix:
     """Count, per feature, the stimuli of each direction it responded to.
 
-    Plasticity is off: nothing but neuron scratch state and the noise
-    stream advances. A feature's preferred direction is the column with
-    the most responses; the assignment is bijective when all four features
-    respond and their preferences cover all four directions.
+    Plasticity is off: only the noise stream advances. A feature's
+    preferred direction is the column with the most responses; the
+    assignment is bijective when all four features respond and their
+    preferences cover all four directions.
     """
     counts = np.zeros((FEATURE_COUNT, len(DIRECTIONS)), dtype=np.int64)
-    net.reset_neurons()
     for stim in ds.stimuli:
         record = present_stimulus(net, stim)
-        net.reset_neurons()
         col = DIRECTIONS.index(stim.direction)
         for f in {firing[0] for firing in record.feature_firings}:
             counts[f, col] += 1

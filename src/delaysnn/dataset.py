@@ -54,15 +54,6 @@ class Spike(NamedTuple):
 
 
 @dataclass
-class Dot:
-    """One animated dot; coherent dots carry a diagonal heading."""
-
-    start: tuple
-    direction: int | str
-    speed: float = 1.0
-
-
-@dataclass
 class Stimulus:
     id: int
     direction: int
@@ -131,31 +122,23 @@ def _emit_spikes(trajectories, grid) -> list:
 def build_stimulus(rng, stim_id: int, direction: int, grid) -> tuple:
     """Animate 5 coherent + 5 random dots and encode their spikes.
 
-    Returns (stimulus, dots, trajectories); the trailing pair exposes the
-    pre-deduplication samples (10 dots x 5 frames) for verification.
+    Returns (stimulus, trajectories): one ``(positions, coherent)`` pair
+    per dot, its pre-deduplication samples (10 dots x 5 frames), for
+    verification.
     """
     w, h = grid
-    dots = []
     trajectories = []
     for _ in range(COHERENT_DOTS):
-        dot = Dot(start=(int(rng.integers(0, w)), int(rng.integers(0, h))),
-                  direction=direction)
-        dots.append(dot)
-        trajectories.append(
-            (coherent_trajectory(dot.start, dot.direction, FRAMES, grid=grid), True)
-        )
+        start = (int(rng.integers(0, w)), int(rng.integers(0, h)))
+        trajectories.append((coherent_trajectory(start, direction, FRAMES, grid=grid), True))
     for _ in range(RANDOM_DOTS):
-        dot = Dot(start=(rng.uniform(0, w), rng.uniform(0, h)),
-                  direction="random",
-                  speed=float(rng.uniform(*RANDOM_SPEED_RANGE)))
-        dots.append(dot)
+        start = (rng.uniform(0, w), rng.uniform(0, h))
+        speed = float(rng.uniform(*RANDOM_SPEED_RANGE))
         headings = rng.uniform(0.0, 2.0 * math.pi, size=FRAMES - 1).tolist()
-        trajectories.append(
-            (_random_trajectory(dot.start, dot.speed, headings, grid), False)
-        )
+        trajectories.append((_random_trajectory(start, speed, headings, grid), False))
     stim = Stimulus(id=stim_id, direction=direction,
                     spikes=_emit_spikes(trajectories, grid))
-    return stim, dots, trajectories
+    return stim, trajectories
 
 
 def generate_dataset(cfg: SimConfig, seed: int) -> Dataset:

@@ -16,7 +16,9 @@ noise is drawn, integrated and reduced to per-location first crossings
 before the next, so the whole (steps x neurons) trajectory is never held.
 
 All learning happens in :func:`finish_stimulus`, batched at stimulus end;
-:func:`present_stimulus` only simulates and records.
+:func:`present_stimulus` only simulates and records. Every stimulus starts
+from rest, so potentials, firings and location winners are scratch of one
+presentation: the network keeps only what it learns.
 """
 
 from __future__ import annotations
@@ -58,12 +60,15 @@ class ActivityRecord:
     First-spike coding holds on both layers: ``input_times`` is the
     (H, W) grid of each input cell's earliest spike time (``inf`` for a
     silent cell), ``feature_firings`` holds one ``(f, y, x, t)`` entry per
-    feature neuron, in firing order.
+    feature neuron, in firing order. ``potentials`` is the (features,
+    out_h, out_w) potential at the end of the window (``None`` on a record
+    built by hand).
     """
 
     input_times: np.ndarray
     feature_firings: list = field(default_factory=list)
     dropped_events: int = 0
+    potentials: np.ndarray | None = None
 
 
 @dataclass
@@ -85,7 +90,8 @@ class TrainingSummary:
 
 
 class Network:
-    """Mutable simulation state: shared kernels, per-neuron LIF state."""
+    """Learned state: shared kernels, per-neuron thresholds, the freeze set
+    and per-feature rate estimates, plus the noise stream."""
 
     def __init__(self, cfg: SimConfig, weights: np.ndarray, delays: np.ndarray):
         self.cfg = cfg
@@ -93,26 +99,15 @@ class Network:
         self.delays = delays
         self.out_h = cfg.grid_height - KERNEL_SIZE + 1
         self.out_w = cfg.grid_width - KERNEL_SIZE + 1
-        shape = (FEATURE_COUNT, self.out_h, self.out_w)
-        self.potentials = np.zeros(shape)
-        self.thresholds = np.full(shape, cfg.threshold)
-        self.fired = np.zeros(shape, dtype=bool)
-        # Lateral inhibition: at most one feature wins each output location.
-        self.won = np.zeros((self.out_h, self.out_w), dtype=bool)
+        self.thresholds = np.full((FEATURE_COUNT, self.out_h, self.out_w), cfg.threshold)
         self.frozen: set[int] = set()
         self.rate_ema = np.zeros(FEATURE_COUNT)
         self.noise_stream = RngStream(cfg.rng_seed, STREAM_NOISE)
         self.n_steps = int(round(cfg.stimulus_window / cfg.dt))
 
-    def reset_neurons(self) -> None:
-        """Clear per-stimulus state; adapted thresholds persist."""
-        self.potentials.fill(0.0)
-        self.fired.fill(False)
-        self.won.fill(False)
-
 
 def build_network(cfg: SimConfig) -> Network:
-    """Draw initial shared kernels and allocate neuron state.
+    """Draw initial shared kernels; every threshold starts at ``cfg.threshold``.
 
     Weights come from N(weight_init_mean, weight_init_std) clamped to the
     weight bounds; delays from N(delay_init_mean, delay_init_spread),
@@ -169,13 +164,15 @@ def _seed_events(
 def present_stimulus(net: Network, stim) -> ActivityRecord:
     """Run one stimulus through the network and record all firings.
 
-    No plasticity here. Input cells follow first-spike coding (the
-    earliest spike per cell is kept); a spike outside the grid or at a
-    negative or non-finite time is rejected. Arrivals beyond the simulated
-    horizon are dropped and counted; a negative delay, which would make an
-    arrival precede its emission, is rejected, and so is a negative weight
-    (see below). Noise is drawn for every neuron and step, block by block
-    in step order, so the stream's consumption is independent of activity.
+    No plasticity here, and nothing of ``net`` changes but its noise
+    stream: every neuron starts from rest. Input cells follow first-spike
+    coding (the earliest spike per cell is kept); a spike outside the grid
+    or at a negative or non-finite time is rejected. Arrivals beyond the
+    simulated horizon are dropped and counted; a negative delay, which
+    would make an arrival precede its emission, is rejected, and so is a
+    negative weight (see below). Noise is drawn for every neuron and step,
+    block by block in step order, so the stream's consumption is
+    independent of activity.
 
     Per step, the carried potential leaks, noise lands, then the step's
     arrivals charge their targets in schedule order; a neuron fires at the
@@ -194,8 +191,6 @@ def present_stimulus(net: Network, stim) -> ActivityRecord:
     next block's noise is drawn, so memory does not grow with the window.
     """
     cfg = net.cfg
-    if net.fired.any() or net.won.any() or net.potentials.any():
-        raise ValueError("present_stimulus requires reset neurons")
     if (net.delays < 0).any():
         raise ValueError("delays must be >= 0: an arrival cannot precede its emission")
     if (net.weights < 0).any():
@@ -233,7 +228,7 @@ def present_stimulus(net: Network, stim) -> ActivityRecord:
     bounds = np.searchsorted(steps, np.arange(net.n_steps + 1)).tolist()
     # Each arrival's target potential just before its step's charges land.
     pre_charge = np.empty(arrivals.size)
-    prev = net.potentials.reshape(-1)
+    prev = np.zeros(net.thresholds.size)
     carried = np.empty_like(prev)
     # Per location: whether it is won, the first step in which one of its
     # neurons ends at or above threshold, and the lowest such feature.
@@ -291,14 +286,12 @@ def present_stimulus(net: Network, stim) -> ActivityRecord:
             firings.append((s, 1, i, i, float(step_ends[s])))
 
     firings.sort()
-    fired = net.fired.reshape(-1)
     for _s, _phase, _order, i, when in firings:
-        fired[i] = True
         f, loc = divmod(i, n_loc)
         y, x = divmod(loc, net.out_w)
         record.feature_firings.append((f, y, x, when))
-    net.won[...] = won.reshape(net.won.shape)
-    net.potentials[...] = prev.reshape(net.potentials.shape)
+    # A copy: ``prev`` is a row of the last noise block.
+    record.potentials = prev.reshape(net.thresholds.shape).copy()
     return record
 
 
@@ -309,8 +302,8 @@ def finish_stimulus(net: Network, record: ActivityRecord) -> plasticity.Plastici
     2. per-feature homeostasis against the rate estimate,
     3. freeze check,
     4. delay growth for the whole window on still-unfrozen features,
-    5. threshold adaptation,
-    6. neuron reset.
+    5. threshold adaptation: up where the record holds a firing, down
+       elsewhere.
 
     The freeze check runs before the batched growth: growth really
     accrues per time step, so a delay that learning pushed under the stop
@@ -322,8 +315,11 @@ def finish_stimulus(net: Network, record: ActivityRecord) -> plasticity.Plastici
         record, net.weights, net.delays, net.frozen, cfg
     )
 
+    # After the pair updates, which reject a firing outside the maps.
+    fired = np.zeros(net.thresholds.shape, dtype=bool)
     counts = np.zeros(FEATURE_COUNT)
-    for (f, _y, _x, _t) in record.feature_firings:
+    for (f, y, x, _t) in record.feature_firings:
+        fired[f, y, x] = True
         counts[f] += 1
     for f in range(FEATURE_COUNT):
         net.rate_ema[f] = RATE_EMA_DECAY * net.rate_ema[f] + (1 - RATE_EMA_DECAY) * counts[f]
@@ -345,10 +341,8 @@ def finish_stimulus(net: Network, record: ActivityRecord) -> plasticity.Plastici
 
     lowered = np.maximum(net.thresholds - cfg.threshold_adapt_down, cfg.threshold_min)
     net.thresholds = np.where(
-        net.fired, net.thresholds + cfg.threshold_adapt_up, lowered
+        fired, net.thresholds + cfg.threshold_adapt_up, lowered
     )
-
-    net.reset_neurons()
     return report
 
 

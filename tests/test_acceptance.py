@@ -4,6 +4,7 @@ Each test prints a single pass/fail line (visible with -s, or on failure)
 in addition to asserting.
 """
 
+import math
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -291,13 +292,23 @@ class TestCriterion9:
                     assert ((ax + t * dx) % w, (ay + t * dy) % h, t) in cells
 
         # Dot-level composition, checked at the generator seam.
+        def torus_steps(path):
+            """Per-frame step lengths of a wrapped path on the w x h torus."""
+            return [math.hypot((bx - ax + w / 2) % w - w / 2, (by - ay + h / 2) % h - h / 2)
+                    for (ax, ay), (bx, by) in zip(path, path[1:])]
+
         rng = np.random.default_rng(0)
         for sid, direction in enumerate((45, -45, 135, -135)):
-            _stim, dots, trajectories = build_stimulus(rng, sid, direction, (w, h))
-            assert len(dots) == 10
-            assert sum(1 for d in dots if d.direction != "random") == 5
-            assert sum(1 for d in dots if d.direction == "random") == 5
-            assert all(0.5 <= d.speed <= 2.0 for d in dots if d.direction == "random")
+            _stim, trajectories = build_stimulus(rng, sid, direction, (w, h))
+            assert len(trajectories) == 10
+            random_paths = [path for path, coh in trajectories if not coh]
+            assert sum(1 for _path, coh in trajectories if coh) == 5
+            assert len(random_paths) == 5
+            for path in random_paths:
+                # A random dot's speed is its constant step length.
+                speed, *rest = torus_steps(path)
+                assert 0.5 <= speed <= 2.0
+                assert all(abs(step - speed) <= 1e-9 for step in rest)
             assert sum(len(path) for path, _coh in trajectories) == 50
 
         _line("criterion 9: dataset statistics", True)

@@ -83,7 +83,7 @@ def _assert_matches_reference(net, times):
              for y, x in zip(*np.nonzero(np.isfinite(times)))}
     events, expected_dropped = _reference_schedule(net, cells)
     assert arrivals == [arrival for arrival, _t, _s, _w in events]
-    assert targets == [int(np.ravel_multi_index(target, net.potentials.shape))
+    assert targets == [int(np.ravel_multi_index(target, net.thresholds.shape))
                        for _a, target, _s, _w in events]
     assert weights == [weight for _a, _t, _s, weight in events]
     assert dropped == expected_dropped
@@ -124,23 +124,23 @@ def _reference_present(net, stim):
 
     Per step: leak, noise, then each arrival of the step in schedule order
     with an immediate threshold check (firing at the arrival time), then
-    a boundary scan in (f, y, x) order for crossings left by noise.
+    a boundary scan in (f, y, x) order for crossings left by noise. Every
+    neuron starts from rest; the record carries the final potentials.
     """
     cfg = net.cfg
     times = _first_spikes(cfg, [(sp.x, sp.y, sp.t) for sp in stim.spikes])
     arrivals, targets, weights, dropped = _schedule_lists(net, times)
     record = ActivityRecord(input_times=times, dropped_events=dropped)
     noise = draw_gaussian_array(
-        net.noise_stream, 0.0, cfg.noise_std, (net.n_steps,) + net.potentials.shape
+        net.noise_stream, 0.0, cfg.noise_std, (net.n_steps,) + net.thresholds.shape
     ).reshape(net.n_steps, -1)
     decay = math.exp(-cfg.dt / cfg.tau_m)
     n_loc = net.out_h * net.out_w
-    pot, thr, fired, won = (
-        a.reshape(-1) for a in (net.potentials, net.thresholds, net.fired, net.won)
-    )
+    thr = net.thresholds.reshape(-1)
+    pot = np.zeros(thr.size)
+    won = np.zeros(n_loc, dtype=bool)
 
     def fire(i, loc, when):
-        fired[i] = True
         won[loc] = True
         y, x = divmod(loc, net.out_w)
         record.feature_firings.append((i // n_loc, y, x, when))
@@ -157,11 +157,12 @@ def _reference_present(net, stim):
             if not won[loc] and pot[i] >= thr[i]:
                 fire(i, loc, arrivals[next_event])
             next_event += 1
-        crossed = (net.potentials >= net.thresholds) & ~net.won
+        crossed = (pot >= thr).reshape(FEATURE_COUNT, n_loc) & ~won
         for i in crossed.ravel().nonzero()[0].tolist():
             loc = i % n_loc
             if not won[loc]:
                 fire(i, loc, t_end)
+    record.potentials = pot.reshape(net.thresholds.shape)
     return record
 
 
@@ -244,7 +245,6 @@ class TestPresentStimulus:
         assert record.feature_firings == []
         assert record.input_times.shape == (QUIET.grid_height, QUIET.grid_width)
         assert np.isinf(record.input_times).all()
-        assert not net.fired.any()
 
     def test_full_window_fires_after_arrival(self):
         # 25 spikes at t=0 filling the window of output (0, 0); uniform
@@ -271,8 +271,6 @@ class TestPresentStimulus:
         at_corner = [(f, t) for (f, y, x, t) in record.feature_firings if (y, x) == (0, 0)]
         assert len(at_corner) == 1
         assert at_corner[0][0] == 1
-        assert net.won[0, 0]
-        assert net.fired[:, 0, 0].tolist() == [False, True, False, False]
 
     def test_input_first_spike_coding(self):
         net = build_network(QUIET)
@@ -307,7 +305,7 @@ class TestPresentStimulus:
         record = present_stimulus(net, stim)
         assert bool(record.feature_firings) == busy
         expected = RngStream(cfg.rng_seed, STREAM_NOISE).generator
-        expected.normal(0.0, cfg.noise_std, size=net.n_steps * net.potentials.size)
+        expected.normal(0.0, cfg.noise_std, size=net.n_steps * net.thresholds.size)
         assert net.noise_stream.generator.bit_generator.state == expected.bit_generator.state
 
     @pytest.mark.parametrize("grid, limit_mib", [(15, 1.0), (31, 4.0)])
@@ -344,8 +342,6 @@ class TestPresentStimulus:
         net.thresholds[:] = 1.0
         record = present_stimulus(net, _stim([(0, 0, 0)]))
         assert record.feature_firings == [(0, 0, 0, 10.05)]
-        assert net.won[0, 0]
-        assert net.fired[:, 0, 0].tolist() == [True, False, False, False]
 
     def test_leak_between_arrivals_prevents_crossing(self):
         # Two arrivals of half the threshold at the corner neuron fire it
@@ -368,7 +364,7 @@ class TestPresentStimulus:
         cfg = SimConfig()
         net = build_network(cfg)
         noise = RngStream(cfg.rng_seed, STREAM_NOISE).generator.normal(
-            0.0, cfg.noise_std, size=(net.n_steps,) + net.potentials.shape)
+            0.0, cfg.noise_std, size=(net.n_steps,) + net.thresholds.shape)
         decay = math.exp(-cfg.dt / cfg.tau_m)
         walk = [0.0]
         for value in noise[:, 0, 5, 5]:
@@ -408,17 +404,11 @@ class TestPresentStimulus:
             record = present_stimulus(net, stim)
             expected = _reference_present(ref, stim)
             assert repr(record.feature_firings) == repr(expected.feature_firings)
-            assert net.potentials.tobytes() == ref.potentials.tobytes()
+            assert record.potentials.tobytes() == expected.potentials.tobytes()
             finish_stimulus(net, record)
             finish_stimulus(ref, expected)
             assert net.weights.tobytes() == ref.weights.tobytes()
             assert net.thresholds.tobytes() == ref.thresholds.tobytes()
-
-    def test_requires_reset_neurons(self):
-        net = build_network(QUIET)
-        net.fired[0, 0, 0] = True
-        with pytest.raises(ValueError):
-            present_stimulus(net, _stim([]))
 
     def test_at_most_one_spike_per_neuron(self):
         cfg = SimConfig()  # noise on
@@ -437,8 +427,6 @@ class TestPresentStimulus:
         for stim in ds.stimuli[:10]:
             record = present_stimulus(net, stim)
             recorded = {(f, y, x) for (f, y, x, _t) in record.feature_firings}
-            fired = {tuple(int(v) for v in idx) for idx in zip(*np.nonzero(net.fired))}
-            assert recorded == fired
             assert len(record.feature_firings) == len(recorded)
             finish_stimulus(net, record)
 
@@ -462,7 +450,7 @@ class TestPresentStimulus:
         locations = [(y, x) for (_f, y, x, _t) in record.feature_firings]
         assert len(locations) == len(set(locations)) == net.out_h * net.out_w
         first_step = RngStream(net.cfg.rng_seed, STREAM_NOISE).generator.normal(
-            0.0, net.cfg.noise_std, size=net.potentials.shape)
+            0.0, net.cfg.noise_std, size=net.thresholds.shape)
         for f, y, x, t in record.feature_firings:
             if t == net.cfg.dt:
                 assert f == int(np.argmax(first_step[:, y, x] >= tiny))
@@ -483,8 +471,7 @@ class TestFinishStimulus:
         assert np.allclose(net.delays, d0 - cfg.lambda_d + growth)
         assert np.allclose(net.weights, np.clip(w0 + cfg.lambda_w, 0, 1))
         assert np.allclose(net.thresholds, t0 - cfg.threshold_adapt_down)
-        assert not net.fired.any() and not net.won.any()
-        assert (net.potentials == 0).all()
+        assert (record.potentials == 0).all()
 
     def test_freeze_detected_and_permanent(self):
         net = build_network(QUIET)
@@ -504,7 +491,9 @@ class TestFinishStimulus:
         net.delays[:] = 50.0
         spikes = [(x, y, 0) for y in range(5) for x in range(5)]
         record = present_stimulus(net, _stim(spikes))
-        fired_mask = net.fired.copy()
+        fired_mask = np.zeros(net.thresholds.shape, dtype=bool)
+        for f, y, x, _t in record.feature_firings:
+            fired_mask[f, y, x] = True
         assert fired_mask.any()
         finish_stimulus(net, record)
         up = QUIET.threshold + QUIET.threshold_adapt_up
@@ -620,18 +609,16 @@ class TestProperties:
     @PROPERTY
     @given(_presentations())
     def test_one_spike_per_neuron(self, case):
-        net, _spikes, record = case
+        _net, _spikes, record = case
         neurons = [(f, y, x) for (f, y, x, _t) in record.feature_firings]
         assert len(neurons) == len(set(neurons))
-        assert set(neurons) == {tuple(int(v) for v in idx) for idx in zip(*np.nonzero(net.fired))}
 
     @PROPERTY
     @given(_presentations())
     def test_one_winner_per_location(self, case):
-        net, _spikes, record = case
+        _net, _spikes, record = case
         locations = [(y, x) for (_f, y, x, _t) in record.feature_firings]
         assert len(locations) == len(set(locations))
-        assert set(locations) == {(int(y), int(x)) for y, x in zip(*np.nonzero(net.won))}
 
     @PROPERTY
     @given(_presentations())
@@ -640,7 +627,7 @@ class TestProperties:
         arrivals, targets, _weights, _dropped = _schedule_lists(net, record.input_times)
         boundaries = {step * net.cfg.dt for step in range(1, net.n_steps + 1)}
         for f, y, x, t in record.feature_firings:
-            flat = int(np.ravel_multi_index((f, y, x), net.potentials.shape))
+            flat = int(np.ravel_multi_index((f, y, x), net.thresholds.shape))
             reaching = {a for a, target in zip(arrivals, targets) if target == flat}
             assert t in reaching or t in boundaries
 
@@ -663,11 +650,35 @@ class TestProperties:
             # repr: the same firings, in the same order, as the same Python types.
             assert repr(record.feature_firings) == repr(expected.feature_firings)
             assert record.dropped_events == expected.dropped_events
-            assert net.potentials.tobytes() == ref.potentials.tobytes()
-            assert np.array_equal(net.fired, ref.fired)
-            assert np.array_equal(net.won, ref.won)
-            net.reset_neurons()
-            ref.reset_neurons()
+            assert record.potentials.tobytes() == expected.potentials.tobytes()
+
+    @PROPERTY
+    @given(_cases())
+    def test_presentation_changes_only_the_noise_stream(self, case):
+        # Two copies see the same stimulus twice in a row with no learning
+        # in between: each presentation starts from rest, so the copies
+        # give equal records and their learned state stays as it was.
+        net, spikes = case
+        learned = ("weights", "delays", "thresholds", "rate_ema")
+
+        def state(n):
+            return [getattr(n, name).tobytes() for name in learned], set(n.frozen)
+
+        before = state(net)
+        copies = (copy.deepcopy(net), copy.deepcopy(net))
+        # A third copy skips the first presentation's noise instead.
+        skipped = copy.deepcopy(net)
+        draw_gaussian_array(skipped.noise_stream, 0.0, net.cfg.noise_std,
+                            (net.n_steps, net.thresholds.size))
+        for _ in range(2):
+            a, b = (present_stimulus(n, _stim(spikes)) for n in copies)
+            assert repr(a.feature_firings) == repr(b.feature_firings)
+            assert a.potentials.tobytes() == b.potentials.tobytes()
+            assert all(state(n) == before for n in copies)
+        # So the second presentation carried nothing over from the first.
+        c = present_stimulus(skipped, _stim(spikes))
+        assert repr(c.feature_firings) == repr(a.feature_firings)
+        assert c.potentials.tobytes() == a.potentials.tobytes()
 
     @PROPERTY
     @given(_cases(), st.integers(1, 40))
@@ -676,13 +687,10 @@ class TestProperties:
         # a location's first crossing must carry over from block to block.
         net, spikes = case
         ref = copy.deepcopy(net)
-        budget = block_steps * 8 * net.potentials.size
+        budget = block_steps * 8 * net.thresholds.size
         with mock.patch.object(network, "BLOCK_BYTES", budget):
             for stim in (_stim(spikes), _stim(spikes[::2])):
                 record = present_stimulus(net, stim)
                 expected = _reference_present(ref, stim)
                 assert repr(record.feature_firings) == repr(expected.feature_firings)
-                assert net.potentials.tobytes() == ref.potentials.tobytes()
-                assert np.array_equal(net.won, ref.won)
-                net.reset_neurons()
-                ref.reset_neurons()
+                assert record.potentials.tobytes() == expected.potentials.tobytes()

@@ -1,4 +1,4 @@
-"""LIF dynamics of the network engine: leak, firing, threshold adaptation, reset.
+"""LIF dynamics of the network engine: leak, firing, threshold adaptation.
 
 Every test runs on a 5x5 grid, which has a single output location, so
 input cell (0, kx) reaches neuron (f, 0, 0) through kernel cell (0, kx)
@@ -53,13 +53,13 @@ class TestIntegrateStep:
         # Charge landing tau_m before the window ends leaks to 1/e.
         net = _net()
         k = int(round(ONE.tau_m / ONE.dt))
-        _present(net, {0: [(1.0, _in_step(N_STEPS - k))]})
-        assert net.potentials[0, 0, 0] == pytest.approx(math.exp(-1.0), abs=1e-12)
+        record = _present(net, {0: [(1.0, _in_step(N_STEPS - k))]})
+        assert record.potentials[0, 0, 0] == pytest.approx(math.exp(-1.0), abs=1e-12)
 
     def test_fresh_charge_lands_undecayed(self):
         net = _net()
-        _present(net, {0: [(0.95, _in_step(N_STEPS))]})
-        assert net.potentials[0, 0, 0] == 0.95
+        record = _present(net, {0: [(0.95, _in_step(N_STEPS))]})
+        assert record.potentials[0, 0, 0] == 0.95
 
     def test_negative_dt_rejected(self):
         # The engine's step comes only from the config, which rejects it.
@@ -73,29 +73,29 @@ class TestIntegrateStep:
         record = _present(net, {0: [(0.5, _in_step(N_STEPS - 3))]})
         assert record.feature_firings == []
         noise = RngStream(cfg.rng_seed, STREAM_NOISE).generator.normal(
-            0.0, cfg.noise_std, size=(N_STEPS,) + net.potentials.shape
+            0.0, cfg.noise_std, size=(N_STEPS,) + net.thresholds.shape
         )
-        expected = np.zeros(net.potentials.shape)
+        expected = np.zeros(net.thresholds.shape)
         for step in range(1, N_STEPS + 1):
             expected *= DECAY
             expected += noise[step - 1]
             if step == N_STEPS - 3:
                 expected[0, 0, 0] += 0.5
-        assert (net.potentials == expected).all()
+        assert (record.potentials == expected).all()
 
     def test_k_step_leak_matches_closed_form(self):
         # After k silent steps the potential is p0 * exp(-k*dt/tau).
         for k in (1, 7, 50, 200, 599):
             net = _net()
-            _present(net, {0: [(1.0, _in_step(N_STEPS - k))]})
+            record = _present(net, {0: [(1.0, _in_step(N_STEPS - k))]})
             expected = math.exp(-k * ONE.dt / ONE.tau_m)
-            assert abs(net.potentials[0, 0, 0] - expected) < 1e-9
+            assert abs(record.potentials[0, 0, 0] - expected) < 1e-9
 
     def test_silent_decay_is_monotone_and_never_fires(self):
         net = _net(threshold=1.0)
         record = _present(net, {0: [(0.99, _in_step(1))]})
         assert record.feature_firings == []
-        assert 0 < net.potentials[0, 0, 0] < 0.99 * DECAY ** (N_STEPS - 2)
+        assert 0 < record.potentials[0, 0, 0] < 0.99 * DECAY ** (N_STEPS - 2)
 
 
 class TestCheckFire:
@@ -108,7 +108,6 @@ class TestCheckFire:
         net = _net(threshold=0.95)
         record = _present(net, {0: [(np.nextafter(0.95, 0.0), 10.05)]})
         assert record.feature_firings == []
-        assert not net.fired.any()
 
     def test_one_spike_per_stimulus(self):
         net = _net(threshold=0.5)
@@ -121,7 +120,6 @@ class TestCheckFire:
         net = _net(threshold=0.5)
         record = _present(net, {1: [(1.0, 10.05)], 0: [(1.0, 20.05)]})
         assert record.feature_firings == [(1, 0, 0, 10.05)]
-        assert net.won[0, 0] and not net.fired[0, 0, 0]
 
     def test_simultaneous_arrivals_from_rest_fire(self):
         # 5 arrivals of 0.95 in one step beat the default threshold; the
@@ -151,29 +149,3 @@ class TestAdaptThreshold:
             finish_stimulus(net, _present(net, {}))
         assert (net.thresholds == 0.1).all()
 
-
-class TestReset:
-    def test_clears_per_stimulus_state(self):
-        net = _net(threshold=0.5)
-        _present(net, {0: [(1.0, 10.05)], 1: [(0.3, 10.05)]})
-        assert net.fired.any() and net.won.any() and net.potentials.any()
-        net.reset_neurons()
-        assert not net.fired.any()
-        assert not net.won.any()
-        assert not net.potentials.any()
-
-    def test_threshold_survives(self):
-        net = _net(threshold=4.3)
-        net.reset_neurons()
-        assert (net.thresholds == 4.3).all()
-
-    def test_idempotent(self):
-        net = _net(threshold=0.5)
-        _present(net, {0: [(1.0, 10.05)]})
-        net.reset_neurons()
-        def state():
-            return [a.copy() for a in (net.potentials, net.fired, net.won)]
-
-        before = state()
-        net.reset_neurons()
-        assert all((a == b).all() for a, b in zip(before, state()))
