@@ -39,8 +39,9 @@ from . import plasticity
 CONVERGENCE_TOL = 1e-3
 SHIFT_TOL = 1e-9
 # Byte budget of one batch of convergence trajectories (see
-# :func:`trajectory_batches`): about 25 random scenarios of 500 repetitions.
-TRAJECTORY_BYTES = 512 * 1024
+# :func:`trajectory_batches`): the 100 random scenarios of a default
+# ``delaysnn verify`` run (500 repetitions) fit in one batch.
+TRAJECTORY_BYTES = 3 * 1024 * 1024
 
 PASS = "pass"
 FAIL = "fail"

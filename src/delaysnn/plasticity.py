@@ -47,14 +47,19 @@ def _two_branch(delta_t, causal_coef, causal_tau, late_coef, late_tau):
     Each element's exponent, ``-|delta_t|`` over its branch's time
     constant, is picked first, so ``exp`` never sees a positive argument.
     ``exp`` itself is the scalar ``math.exp``: numpy's vectorised ``exp``
-    may differ in the last bit, and by CPU. Parameters may be arrays that
-    broadcast against ``delta_t``. A scalar in gives a float out.
+    may differ in the last bit, and by CPU. It runs only on the non-zero
+    exponents: ``exp(0.0) = exp(-0.0) = 1.0`` exactly, so a lag that has
+    converged to 0 costs no call. Parameters may be arrays that broadcast
+    against ``delta_t``. A scalar in gives a float out.
     """
     lag = np.asarray(delta_t, dtype=float)
     causal = lag >= 0
     arg = np.copysign(lag, -1.0) / np.where(causal, causal_tau, late_tau)
-    exp = np.fromiter(map(math.exp, arg.ravel().tolist()), float, arg.size)
-    out = np.where(causal, causal_coef, late_coef) * exp.reshape(arg.shape)
+    live = arg != 0
+    exp = np.ones(arg.shape)
+    exp[live] = np.fromiter(map(math.exp, arg[live].tolist()), float,
+                            np.count_nonzero(live))
+    out = np.where(causal, causal_coef, late_coef) * exp
     return out if out.ndim else float(out)
 
 

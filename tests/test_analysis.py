@@ -28,7 +28,7 @@ from delaysnn.analysis import (
 )
 from delaysnn import plasticity
 from delaysnn.cli import main
-from delaysnn.config import SimConfig
+from delaysnn.config import STREAM_VERIFY, RngStream, SimConfig
 from delaysnn.dataset import Dataset, Spike, Stimulus
 from delaysnn.network import build_network
 
@@ -273,6 +273,15 @@ class TestConvergenceTrajectories:
             rows = max(sc.repetitions for sc in batch) + 1
             columns = sum(len(sc.pre_times) for sc in batch)
             assert 8 * rows * columns <= TRAJECTORY_BYTES
+
+    def test_default_verify_is_one_batch(self):
+        # ``delaysnn verify``'s 100 default scenarios, drawn as it draws
+        # them, share one repetition loop.
+        for seed in [*range(32), 42]:
+            rng = RngStream(seed, STREAM_VERIFY).generator
+            scenarios = (random_scenario(rng, with_late=index % 2 == 1)
+                         for index in range(100))
+            assert [len(batch) for batch in trajectory_batches(scenarios)] == [100], seed
 
     def test_oversized_scenario_gets_its_own_batch(self):
         rng = np.random.default_rng(5)
