@@ -37,7 +37,11 @@ from .network import FEATURE_COUNT, KERNEL_SIZE, Network, present_stimulus
 from . import plasticity
 
 CONVERGENCE_TOL = 1e-3
+# Recurrence steps after which :func:`iterations_to_tolerance` gives up.
+MAX_RECURRENCE_STEPS = 1_000_000
 SHIFT_TOL = 1e-9
+# Sampled points per closed-form property in :func:`run_property_checks`.
+PROPERTY_SAMPLES = 10_000
 # Byte budget of one batch of convergence trajectories (see
 # :func:`trajectory_batches`): the 100 random scenarios of a default
 # ``delaysnn verify`` run (500 repetitions) fit in one batch.
@@ -64,15 +68,14 @@ def lag_fixed_point_step(lag: float, b_minus: float, sigma_minus: float) -> floa
     return max(0.0, lag - b_minus + b_minus * math.exp(-lag / sigma_minus))
 
 
-def iterations_to_tolerance(
-    lag: float, b_minus: float, sigma_minus: float,
-    tol: float = CONVERGENCE_TOL, max_iter: int = 1_000_000,
-) -> int:
-    """Number of recurrence steps until the lag first drops below ``tol``."""
+def iterations_to_tolerance(lag: float, b_minus: float, sigma_minus: float) -> int:
+    """Number of recurrence steps until the lag first drops below
+    ``CONVERGENCE_TOL``."""
     count = 0
-    while lag >= tol:
-        if count >= max_iter:
-            raise RuntimeError(f"no convergence below {tol} within {max_iter} steps")
+    while lag >= CONVERGENCE_TOL:
+        if count >= MAX_RECURRENCE_STEPS:
+            raise RuntimeError(f"no convergence below {CONVERGENCE_TOL} "
+                               f"within {MAX_RECURRENCE_STEPS} steps")
         lag = lag_fixed_point_step(lag, b_minus, sigma_minus)
         count += 1
     return count
@@ -376,7 +379,6 @@ class SelectivityMatrix:
     """Stimulus counts with at least one firing, per (feature, direction)."""
 
     counts: np.ndarray
-    directions: tuple = DIRECTIONS
     preferred: list = field(default_factory=list)
     bijective: bool = False
 
@@ -480,7 +482,7 @@ def _render_svg(net: Network) -> str:
     return "\n".join(parts) + "\n"
 
 
-def run_property_checks(seed: int, cfg: SimConfig, samples: int = 10_000) -> list:
+def run_property_checks(seed: int, cfg: SimConfig) -> list:
     """Sampled closed-form properties of the two pair rules.
 
     Returns (name, status, detail) rows for the verification report:
@@ -490,12 +492,16 @@ def run_property_checks(seed: int, cfg: SimConfig, samples: int = 10_000) -> lis
     rng = RngStream(seed, STREAM_VERIFY).generator
     rows = []
     eps = np.finfo(float).eps
+    samples = PROPERTY_SAMPLES
 
     sigma = rng.uniform(1e-3, 10.0, size=samples)
     b = sigma * rng.uniform(0.0, 1.0, size=samples)
     b = np.where(b <= 0, sigma, b)
     lag = rng.uniform(0.0, 100.0, size=samples)
-    shrink = b - b * np.exp(-lag / sigma)
+    # The shipped rule with one sampled parameter set per lag; every lag
+    # is causal, so only the B_minus, sigma_minus branch runs.
+    rule = SimpleNamespace(B_minus=b, sigma_minus=sigma, B_plus=b, sigma_plus=sigma)
+    shrink = b + plasticity.delay_delta_d(lag, rule)
     violation = shrink - lag
     allowed = 8 * eps * np.maximum(1.0, lag)
     ok = bool((violation <= allowed).all())

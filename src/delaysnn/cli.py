@@ -222,7 +222,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         args.argv = argv
         return args.func(args)
-    except (ConfigError, dataset.DatasetFormatError, ValueError, OSError) as exc:
+    except (ConfigError, dataset.DatasetFormatError, ValueError, OSError, MemoryError) as exc:
         _log(f"error: {exc}")
         return 1
 

@@ -67,43 +67,33 @@ class Dataset:
     stimuli: list = field(default_factory=list)
 
 
-def coherent_trajectory(start, direction_deg, steps, grid=None) -> list:
-    """Sample a diagonal trajectory at unit frame intervals.
+def dot_paths(rng, direction: int, grid) -> list:
+    """Animate one stimulus's dots: the coherent ones, then the random ones.
 
-    Returns one position per frame t = 0..steps-1 (a zero ``steps`` still
-    yields the starting sample). ``grid`` as (width, height) enables
-    toroidal wrapping; without it positions are unbounded.
+    Returns one ``(positions, coherent)`` pair per dot, one position per
+    frame, wrapped onto the ``grid = (width, height)`` torus. A coherent
+    dot starts on a cell and steps one diagonal cell per frame; a random
+    dot keeps its drawn speed and re-draws its heading every frame.
     """
-    if direction_deg not in _DIAGONAL_STEP:
-        raise ValueError(
-            f"direction must be one of {DIRECTIONS}, got {direction_deg}"
-        )
-    dx, dy = _DIAGONAL_STEP[direction_deg]
-    positions = []
-    x, y = float(start[0]), float(start[1])
-    for _ in range(max(int(steps), 1)):
-        if grid is not None:
-            positions.append((x % grid[0], y % grid[1]))
-        else:
-            positions.append((x, y))
-        x += dx
-        y += dy
-    return positions
-
-
-def _random_trajectory(start, speed, headings, grid) -> list:
-    """Positions of a randomly-heading dot, one per frame."""
     w, h = grid
-    x, y = float(start[0]), float(start[1])
-    positions = [(x % w, y % h)]
-    for theta in headings:
-        x += speed * math.cos(theta)
-        y += speed * math.sin(theta)
-        positions.append((x % w, y % h))
-    return positions
+    dx, dy = _DIAGONAL_STEP[direction]
+    paths = []
+    for _ in range(COHERENT_DOTS):
+        x, y = float(rng.integers(0, w)), float(rng.integers(0, h))
+        paths.append(([((x + t * dx) % w, (y + t * dy) % h) for t in range(FRAMES)], True))
+    for _ in range(RANDOM_DOTS):
+        x, y = rng.uniform(0, w), rng.uniform(0, h)
+        speed = float(rng.uniform(*RANDOM_SPEED_RANGE))
+        positions = [(x % w, y % h)]
+        for theta in rng.uniform(0.0, 2.0 * math.pi, size=FRAMES - 1).tolist():
+            x += speed * math.cos(theta)
+            y += speed * math.sin(theta)
+            positions.append((x % w, y % h))
+        paths.append((positions, False))
+    return paths
 
 
-def _emit_spikes(trajectories, grid) -> list:
+def _emit_spikes(paths, grid) -> list:
     """Round positions to cells and merge coincident (x, y, t) samples.
 
     A merged sample is coherent if any contributing dot was coherent.
@@ -111,34 +101,12 @@ def _emit_spikes(trajectories, grid) -> list:
     """
     w, h = grid
     merged: dict = {}
-    for positions, coherent in trajectories:
+    for positions, coherent in paths:
         for t, (px, py) in enumerate(positions):
             cell = (t, round(py) % h, round(px) % w)
             merged[cell] = merged.get(cell, False) or coherent
     make = Spike._make
     return [make((x, y, t, merged[t, y, x])) for t, y, x in sorted(merged)]
-
-
-def build_stimulus(rng, stim_id: int, direction: int, grid) -> tuple:
-    """Animate 5 coherent + 5 random dots and encode their spikes.
-
-    Returns (stimulus, trajectories): one ``(positions, coherent)`` pair
-    per dot, its pre-deduplication samples (10 dots x 5 frames), for
-    verification.
-    """
-    w, h = grid
-    trajectories = []
-    for _ in range(COHERENT_DOTS):
-        start = (int(rng.integers(0, w)), int(rng.integers(0, h)))
-        trajectories.append((coherent_trajectory(start, direction, FRAMES, grid=grid), True))
-    for _ in range(RANDOM_DOTS):
-        start = (rng.uniform(0, w), rng.uniform(0, h))
-        speed = float(rng.uniform(*RANDOM_SPEED_RANGE))
-        headings = rng.uniform(0.0, 2.0 * math.pi, size=FRAMES - 1).tolist()
-        trajectories.append((_random_trajectory(start, speed, headings, grid), False))
-    stim = Stimulus(id=stim_id, direction=direction,
-                    spikes=_emit_spikes(trajectories, grid))
-    return stim, trajectories
 
 
 def generate_dataset(cfg: SimConfig, seed: int) -> Dataset:
@@ -158,8 +126,8 @@ def generate_dataset(cfg: SimConfig, seed: int) -> Dataset:
     directions = [d for d in DIRECTIONS for _ in range(per_direction)]
     order = rng.permutation(len(directions))
     stimuli = [
-        build_stimulus(rng, stim_id, directions[order[stim_id]], grid)[0]
-        for stim_id in range(STIMULI_PER_DATASET)
+        Stimulus(stim_id, direction, _emit_spikes(dot_paths(rng, direction, grid), grid))
+        for stim_id, direction in enumerate(directions[i] for i in order)
     ]
     return Dataset(grid_height=cfg.grid_height, grid_width=cfg.grid_width, stimuli=stimuli)
 

@@ -25,7 +25,7 @@ from delaysnn.config import SimConfig
 from delaysnn.dataset import (
     _DIAGONAL_STEP,
     DIRECTIONS,
-    build_stimulus,
+    dot_paths,
     generate_dataset,
 )
 from delaysnn.network import FEATURE_COUNT, build_network, finish_stimulus, present_stimulus, train
@@ -298,17 +298,17 @@ class TestCriterion9:
                     for (ax, ay), (bx, by) in zip(path, path[1:])]
 
         rng = np.random.default_rng(0)
-        for sid, direction in enumerate((45, -45, 135, -135)):
-            _stim, trajectories = build_stimulus(rng, sid, direction, (w, h))
-            assert len(trajectories) == 10
-            random_paths = [path for path, coh in trajectories if not coh]
-            assert sum(1 for _path, coh in trajectories if coh) == 5
+        for direction in (45, -45, 135, -135):
+            paths = dot_paths(rng, direction, (w, h))
+            assert len(paths) == 10
+            random_paths = [path for path, coh in paths if not coh]
+            assert sum(1 for _path, coh in paths if coh) == 5
             assert len(random_paths) == 5
             for path in random_paths:
                 # A random dot's speed is its constant step length.
                 speed, *rest = torus_steps(path)
                 assert 0.5 <= speed <= 2.0
                 assert all(abs(step - speed) <= 1e-9 for step in rest)
-            assert sum(len(path) for path, _coh in trajectories) == 50
+            assert sum(len(path) for path, _coh in paths) == 50
 
         _line("criterion 9: dataset statistics", True)

@@ -333,9 +333,22 @@ class TestPremises:
 
 class TestPropertyChecks:
     def test_all_rows_pass_at_defaults(self):
-        rows = run_property_checks(123, SimConfig(), samples=2000)
+        rows = run_property_checks(123, SimConfig())
         assert rows
         assert all(status == PASS for _name, status, _detail in rows)
+
+    def test_shrink_row_runs_the_shipped_rule(self, monkeypatch):
+        # A delay rule whose causal branch falls 10% short lets the shrink
+        # exceed small lags; the row must see the rule it checks.
+        shipped = plasticity.delay_delta_d
+
+        def short(delta_t, rule):
+            return shipped(delta_t, rule) * np.where(np.asarray(delta_t) >= 0, 0.9, 1.0)
+
+        monkeypatch.setattr(plasticity, "delay_delta_d", short)
+        for seed in (0, 1, 123):
+            status = {row[0]: row[1] for row in run_property_checks(seed, SimConfig())}
+            assert status["delay_shrink_bounded_by_lag"] == FAIL, seed
 
 
 def _ideal_plus45_network():

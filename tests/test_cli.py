@@ -198,6 +198,19 @@ class TestTrainCommand:
         assert err.count("\n") == 1 and "w_min: must be >= 0" in err
         assert not out_dir.exists()
 
+    def test_unallocatable_config_fails(self, tmp_path, capsys):
+        # A step count this large asks for hundreds of TiB, which no host
+        # grants, so nothing is ever allocated.
+        data = tmp_path / "dots.mdots"
+        assert main(["gen-data", "--out", str(data)]) == 0
+        capsys.readouterr()
+        cfg_path = tmp_path / "tiny_dt.cfg"
+        cfg_path.write_text("dt = 1e-12\n")
+        assert main(["train", "--config", str(cfg_path), "--dataset", str(data),
+                     "--out", str(tmp_path / "run"), "--max-epochs", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Unable to allocate" in err
+
     def test_bad_max_epochs_fails(self, tmp_path, toy_config, capsys):
         data = tmp_path / "toy.mdots"
         main(["gen-data", "--config", str(toy_config), "--out", str(data)])

@@ -3,6 +3,7 @@
 import hashlib
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from delaysnn.config import SimConfig
@@ -13,7 +14,7 @@ from delaysnn.dataset import (
     RANDOM_DOTS,
     STIMULI_PER_DATASET,
     DatasetFormatError,
-    coherent_trajectory,
+    dot_paths,
     generate_dataset,
     read_dataset,
     write_dataset,
@@ -27,30 +28,21 @@ SEED0_SHA256 = "3aa334f6a304a51671ddbef6081756911434cd26dc3c0cdf7d750259d5b03ac5
 _STEP = {45: (1, 1), -45: (1, -1), 135: (-1, 1), -135: (-1, -1)}
 
 
-class TestCoherentTrajectory:
-    def test_five_samples_on_the_diagonal(self):
-        got = coherent_trajectory((3, 3), 45, 5)
-        assert got == [(3, 3), (4, 4), (5, 5), (6, 6), (7, 7)]
-
-    def test_one_step_down_left(self):
-        got = coherent_trajectory((3, 3), -135, 2)
-        assert got[1] == (2, 2)
-
-    def test_zero_steps_is_just_the_start(self):
-        assert coherent_trajectory((3, 3), 45, 0) == [(3, 3)]
-
-    def test_wraps_toroidally(self):
-        got = coherent_trajectory((14, 14), 45, 2, grid=(15, 15))
-        assert got == [(14, 14), (0, 0)]
-
-    def test_non_diagonal_rejected(self):
-        with pytest.raises(ValueError):
-            coherent_trajectory((0, 0), 90, 5)
-
-    def test_all_four_direction_steps(self):
-        for angle, (dx, dy) in _STEP.items():
-            a, b = coherent_trajectory((5, 5), angle, 2)
-            assert (b[0] - a[0], b[1] - a[1]) == (dx, dy)
+class TestDotPaths:
+    @pytest.mark.parametrize("direction", DIRECTIONS)
+    def test_coherent_dots_step_diagonally_on_the_torus(self, direction):
+        w, h = 5, 7
+        dx, dy = _STEP[direction]
+        paths = dot_paths(np.random.default_rng(0), direction, (w, h))
+        assert [coh for _path, coh in paths] == [True] * COHERENT_DOTS + [False] * RANDOM_DOTS
+        wrapped = False
+        for path, _coh in paths[:COHERENT_DOTS]:
+            assert len(path) == FRAMES
+            assert all(0 <= x < w and 0 <= y < h for x, y in path)
+            for (ax, ay), (bx, by) in zip(path, path[1:]):
+                assert ((bx - ax) % w, (by - ay) % h) == (dx % w, dy % h)
+                wrapped |= (bx - ax, by - ay) != (dx, dy)
+        assert wrapped
 
 
 class TestGenerateDataset:
